@@ -7,10 +7,10 @@
 //! benchmark (apache4, LCRA Conf2) the harness runs the same witness
 //! sets twice: once to full quota under `StabilityPolicy::never()`
 //! (monitor-only), once under the default early-stop policy. It then
-//! re-streams the full-quota witness profiles through the public
-//! [`IncrementalRanking`] / [`ConvergenceTracker`] API to chart the
-//! rank of the ground-truth root cause after every ingested witness and
-//! to find the exact witness count at which the default policy fires.
+//! replays the full-quota witness runs through the public
+//! [`SnapshotIngest`] API to chart the rank of the ground-truth root
+//! cause after every ingested witness and to find the exact witness
+//! count at which the default policy fires.
 //!
 //! Gated metrics (all deterministic — the simulation is fully seeded —
 //! and all "higher is worse" for `bench_diff`):
@@ -25,16 +25,10 @@
 //! * `rank_full` / `rank_early` — 1-based rank of the root cause in
 //!   each session's final (batch-identical) ranking.
 
-use std::collections::BTreeSet;
-
 use stm_bench::{json_rank, mark, MetricsEmitter};
-use stm_core::converge::{ConvergenceTracker, FinalRanking, IncrementalRanking, StabilityPolicy};
-use stm_core::diagnose::{failure_profile, success_profile};
+use stm_core::converge::{FinalRanking, LiveRanking, SnapshotIngest, StabilityPolicy};
 use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
-use stm_core::profile::{lbr_events, lcr_events, BranchOutcome, CoherenceEvent};
 use stm_core::ranking::RankingModel;
-use stm_core::runner::{FailureSpec, Runner};
-use stm_machine::report::ProfileData;
 use stm_suite::eval::{default_threads, expand_workloads, lbra_runner, lcra_runner};
 use stm_suite::Benchmark;
 use stm_telemetry::json::Json;
@@ -76,18 +70,7 @@ fn main() {
         let full_report = full.convergence().expect("monitored session reports");
         let early_report = early.convergence().expect("monitored session reports");
 
-        let (curve, stable_at) = if lbr {
-            let target = b.truth.target_branch().expect("sequential target");
-            replay(&b, &runner, &full, false, |e: &BranchOutcome| {
-                e.branch == target
-            })
-        } else {
-            let fpe = b.truth.fpe.expect("concurrency FPE");
-            let state = fpe.conf2_state.expect("Conf2 state");
-            replay(&b, &runner, &full, true, |e: &CoherenceEvent| {
-                e.loc == fpe.loc && e.state == state
-            })
-        };
+        let (curve, stable_at) = replay(&b, &full);
 
         let witnesses_full = full_report.evidence.witnesses;
         let witnesses_early = early_report.evidence.witnesses;
@@ -207,11 +190,19 @@ fn main() {
 /// session's final (raw batch-model) ranking.
 fn rank_of_root_cause(b: &Benchmark, ranking: &FinalRanking) -> Option<usize> {
     match ranking {
-        FinalRanking::Lbr(r) => {
+        FinalRanking::Lbr(r) => rank_of_root_cause_in(b, LiveRanking::Lbr(r)),
+        FinalRanking::Lcr(r) => rank_of_root_cause_in(b, LiveRanking::Lcr(r)),
+    }
+}
+
+/// 1-based rank of the benchmark's ground-truth root cause in a ranking.
+fn rank_of_root_cause_in(b: &Benchmark, ranking: LiveRanking<'_>) -> Option<usize> {
+    match ranking {
+        LiveRanking::Lbr(r) => {
             let target = b.truth.target_branch().expect("sequential target");
             RankingModel::rank_of(r, |p| p.event.branch == target)
         }
-        FinalRanking::Lcr(r) => {
+        LiveRanking::Lcr(r) => {
             let fpe = b.truth.fpe.expect("concurrency FPE");
             let state = fpe.conf2_state.expect("Conf2 state");
             RankingModel::rank_of(r, |p| p.event.loc == fpe.loc && p.event.state == state)
@@ -219,92 +210,39 @@ fn rank_of_root_cause(b: &Benchmark, ranking: &FinalRanking) -> Option<usize> {
     }
 }
 
-/// Re-streams a full-quota session's witness profiles — in the engine's
-/// consumption order (all failures, then all successes) — through the
-/// public incremental API, charting the root cause's rank after every
-/// witness and finding where the default policy would stop.
-fn replay<E, F>(
+/// Replays a full-quota session's kept witness runs — in the engine's
+/// consumption order (all failures, then all successes) — through a
+/// fresh [`SnapshotIngest`] under the default policy, charting the root
+/// cause's live rank after every ingested witness and finding where the
+/// policy stops.
+fn replay(
     b: &Benchmark,
-    runner: &Runner,
     profiles: &CollectedProfiles,
-    absence: bool,
-    is_target: F,
-) -> (Vec<(usize, Option<usize>)>, Option<usize>)
-where
-    E: Ord + Clone + std::fmt::Display + WitnessEvents,
-    F: Fn(&E) -> bool,
-{
-    let stream = witness_stream::<E>(b, runner, profiles);
-    let mut inc = if absence {
-        IncrementalRanking::with_absence()
-    } else {
-        IncrementalRanking::new()
-    };
-    let mut tracker = ConvergenceTracker::new(inc.clone(), StabilityPolicy::default());
-    let mut curve = Vec::with_capacity(stream.len());
+) -> (Vec<(usize, Option<usize>)>, Option<usize>) {
+    let mut ingest = SnapshotIngest::new(
+        profiles.runner().machine().layout().clone(),
+        b.truth.spec.clone(),
+        StabilityPolicy::default(),
+    );
+    let runs = profiles
+        .failure_runs()
+        .iter()
+        .map(|r| (true, r))
+        .chain(profiles.success_runs().iter().map(|r| (false, r)));
+    let mut curve = Vec::new();
     let mut stable_at = None;
-    for (i, (is_failure, witness, events)) in stream.into_iter().enumerate() {
-        inc.ingest(is_failure, witness.clone(), events.clone());
-        tracker.observe(is_failure, witness, events);
-        let rank = inc
-            .scores()
-            .iter()
-            .position(|p| is_target(&p.event))
-            .map(|i| i + 1);
-        curve.push((i + 1, rank));
-        if stable_at.is_none() && tracker.should_stop() {
-            stable_at = Some(i + 1);
+    for (is_failure, run) in runs {
+        if !ingest.observe(is_failure, &run.witness, &run.report) {
+            continue;
+        }
+        let witness = ingest.witnesses();
+        let ranking = ingest
+            .live_ranking()
+            .expect("an ingested witness pins the ring");
+        curve.push((witness, rank_of_root_cause_in(b, ranking)));
+        if stable_at.is_none() && ingest.should_stop() {
+            stable_at = Some(witness);
         }
     }
     (curve, stable_at)
-}
-
-/// Extraction seam: how each ring kind decodes a profile snapshot into
-/// the event set the ranking ingests.
-trait WitnessEvents: Sized {
-    fn events(runner: &Runner, data: &ProfileData) -> Option<BTreeSet<Self>>;
-}
-
-impl WitnessEvents for BranchOutcome {
-    fn events(runner: &Runner, data: &ProfileData) -> Option<BTreeSet<Self>> {
-        match data {
-            ProfileData::Lbr(records) => Some(lbr_events(runner.machine().layout(), records)),
-            ProfileData::Lcr(_) => None,
-        }
-    }
-}
-
-impl WitnessEvents for CoherenceEvent {
-    fn events(runner: &Runner, data: &ProfileData) -> Option<BTreeSet<Self>> {
-        match data {
-            ProfileData::Lcr(records) => Some(lcr_events(runner.machine().layout(), records)),
-            ProfileData::Lbr(_) => None,
-        }
-    }
-}
-
-/// The kept witness runs as `(is_failure, witness id, events)` in the
-/// engine's deterministic consumption order.
-fn witness_stream<E: WitnessEvents>(
-    b: &Benchmark,
-    runner: &Runner,
-    profiles: &CollectedProfiles,
-) -> Vec<(bool, String, BTreeSet<E>)> {
-    let spec: &FailureSpec = &b.truth.spec;
-    let mut out = Vec::new();
-    for run in profiles.failure_runs() {
-        if let Some(p) = failure_profile(&run.report, spec) {
-            if let Some(events) = E::events(runner, &p.data) {
-                out.push((true, run.witness.clone(), events));
-            }
-        }
-    }
-    for run in profiles.success_runs() {
-        if let Some(p) = success_profile(&run.report, spec) {
-            if let Some(events) = E::events(runner, &p.data) {
-                out.push((false, run.witness.clone(), events));
-            }
-        }
-    }
-    out
 }

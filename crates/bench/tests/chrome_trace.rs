@@ -1,8 +1,9 @@
 //! Golden-file test for the `trace_run` export path: a full LBRA
 //! diagnosis must yield a valid Chrome `trace_event` JSON document whose
 //! spans cover the interpreter, the ring snapshots and all three
-//! diagnosis phases.
+//! diagnosis phases, and whose flow arrows are well formed.
 
+use std::collections::BTreeMap;
 use stm_telemetry::json::Json;
 
 /// Span names that every sequential-benchmark trace must contain.
@@ -42,24 +43,65 @@ fn trace_run_export_is_valid_chrome_trace() {
         Some("ms")
     );
 
-    // Every event is a well-formed complete ("X") or instant ("i") event.
+    // Every event is a well-formed complete ("X") or instant ("i")
+    // event, or a flow event ("s"/"t"/"f") — and only events named
+    // `flow` may carry a flow phase.
     let mut names = std::collections::BTreeSet::new();
+    // tid -> [start, end] of its complete events.
+    let mut slices: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
+    // flow id -> (phase, tid, ts) of its events.
+    let mut flows: BTreeMap<u64, Vec<(&str, u64, f64)>> = BTreeMap::new();
     for ev in events {
         let name = ev.get("name").and_then(|v| v.as_str()).expect("name");
         names.insert(name.to_string());
         assert!(ev.get("cat").and_then(|v| v.as_str()).is_some());
-        assert!(ev.get("ts").and_then(|v| v.as_f64()).is_some());
+        let ts = ev.get("ts").and_then(|v| v.as_f64()).expect("ts");
         assert!(ev.get("pid").and_then(|v| v.as_f64()).is_some());
-        assert!(ev.get("tid").and_then(|v| v.as_f64()).is_some());
+        let tid = ev.get("tid").and_then(|v| v.as_f64()).expect("tid") as u64;
         match ev.get("ph").and_then(|v| v.as_str()) {
             Some("X") => {
                 let dur = ev.get("dur").and_then(|v| v.as_f64()).expect("dur");
                 assert!(dur >= 0.0);
+                slices.entry(tid).or_default().push((ts, ts + dur));
             }
             Some("i") => {
                 assert_eq!(ev.get("s").and_then(|v| v.as_str()), Some("t"));
             }
+            Some(ph @ ("s" | "t" | "f")) if name == "flow" => {
+                let id = ev.get("id").and_then(|v| v.as_f64()).expect("flow id") as u64;
+                flows.entry(id).or_default().push((ph, tid, ts));
+            }
             other => panic!("unexpected ph {other:?} on {name}"),
+        }
+    }
+
+    // A pooled session stamps one flow per dispatched job: it opens with
+    // exactly one `s` at enqueue, steps through execution, and closes
+    // with exactly one `f` at consumption or discard. Each flow event
+    // lies inside a complete event on its own thread, so Perfetto binds
+    // the arrow to that slice.
+    if stm_suite::eval::default_threads() > 1 {
+        assert!(!flows.is_empty(), "a pooled session must stamp flows");
+    }
+    for (id, marks) in &flows {
+        let count = |phase: &str| marks.iter().filter(|(p, ..)| *p == phase).count();
+        assert_eq!(count("s"), 1, "flow {id} must open once: {marks:?}");
+        assert_eq!(count("f"), 1, "flow {id} must close once: {marks:?}");
+        let ts_of = |phase: &str| marks.iter().find(|(p, ..)| *p == phase).unwrap().2;
+        for (_, _, ts) in marks {
+            assert!(
+                ts_of("s") <= *ts && *ts <= ts_of("f"),
+                "flow {id} steps outside its open/close: {marks:?}"
+            );
+        }
+        for (phase, tid, ts) in marks {
+            let inside = slices
+                .get(tid)
+                .is_some_and(|v| v.iter().any(|(a, b)| a <= ts && ts <= b));
+            assert!(
+                inside,
+                "flow {id} {phase} at {ts} outside any slice on tid {tid}"
+            );
         }
     }
 

@@ -1,37 +1,27 @@
-//! Online diagnosis convergence: incremental ranking, rank-stability
-//! tracking, and the early-stop policy (ROADMAP item 2's streaming seam).
+//! Online diagnosis convergence: live ranking, rank-stability tracking,
+//! and the early-stop policy.
 //!
-//! The batch [`RankingModel`](crate::ranking::RankingModel) re-scores
-//! every predictor against every profile (`O(P × E)`) and only after the
-//! whole collection finishes. This module maintains the same statistics
-//! *incrementally*: [`IncrementalRanking`] folds one witness profile in
-//! at a time (`O(|profile|)` count updates), so the engine can re-rank
-//! after every consumed job and an operator can watch the diagnosis
-//! converge instead of waiting for the quota.
+//! The [`RankingModel`] is incremental by construction: each profile
+//! folds into per-event postings in `O(|profile| log U)`, so a live
+//! ranking over the event universe `U` costs `O(U log U)` however many
+//! profiles have accumulated, and the final ranking is the model's own
+//! `rank()` / `rank_with_absence()` — bit-identical to a batch model over
+//! the same profile stream (pinned in `tests/engine_determinism.rs`).
+//! On top of it:
 //!
-//! Three layers:
-//!
-//! * [`IncrementalRanking`] — per-event match counts plus a shadow
-//!   [`RankingModel`](crate::ranking::RankingModel), guaranteeing the
-//!   final [`IncrementalRanking::finish`] ranking is *bit-identical* to
-//!   the batch `rank()` / `rank_with_absence()` over the same profiles
-//!   (pinned in `tests/engine_determinism.rs`);
-//! * [`ConvergenceTracker`] — per-witness polling: top-k rank churn
-//!   (Kendall-style discordant-pair count), the top-1 stability streak,
-//!   and per-predictor score trajectories;
+//! * [`ConvergenceTracker`] — owns the model, caches the full sorted live
+//!   scores of every ingest, and tracks top-k rank churn (Kendall-style
+//!   discordant-pair count), the top-1 stability streak and per-predictor
+//!   score trajectories;
 //! * [`StabilityPolicy`] — when the engine may stop collecting early:
 //!   top-1 unchanged for `stable_for` consecutive witnesses, with floor
 //!   counts on both profile classes so a failure-only prefix can never
-//!   declare victory.
-//!
-//! The snapshot-level ingest entry point ([`SnapshotIngest`]) lives here
-//! too: owned, publication-free per-diagnosis state that decodes ring
-//! snapshots exactly as the batch extractors do — the seam the fleet
-//! daemon feeds externally-produced snapshots through, one per shard.
-//! The engine-facing [`ConvergenceMonitor`] wraps it and owns the single
-//! call sites for the `engine.rank_churn` / `engine.top1_stable_for` /
-//! `engine.witnesses_ingested` gauges and the live `/diagnosis` status
-//! document.
+//!   declare victory;
+//! * [`SnapshotIngest`] — owned, publication-free per-diagnosis state
+//!   that decodes ring snapshots exactly as the batch extractors do. The
+//!   engine holds one per monitored session and publishes its gauges,
+//!   `/diagnosis` document and verdict event; the fleet daemon holds one
+//!   per shard and publishes per-shard series instead.
 
 use crate::diagnose::{failure_profile, success_profile};
 use crate::profile::{lbr_events, lcr_events, BranchOutcome, CoherenceEvent};
@@ -120,192 +110,6 @@ impl StabilityPolicy {
     }
 }
 
-/// Per-event presence counts: in how many failure / success profiles the
-/// event appeared.
-#[derive(Debug, Clone, Copy, Default)]
-struct EventCounts {
-    fail: usize,
-    succ: usize,
-}
-
-/// A predictor's live score at some point of the ingest stream — the
-/// count-derived subset of [`RankedEvent`], cheap enough to recompute on
-/// every witness.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoredPredictor<E> {
-    /// The event.
-    pub event: E,
-    /// Presence or absence predictor.
-    pub polarity: Polarity,
-    /// Prediction precision `|F∧e| / |e|`.
-    pub precision: f64,
-    /// Prediction recall `|F∧e| / |F|`.
-    pub recall: f64,
-    /// Harmonic mean of precision and recall — the ranking key.
-    pub score: f64,
-    /// Failure profiles matching the predictor.
-    pub failure_matches: usize,
-    /// Success profiles matching the predictor.
-    pub success_matches: usize,
-}
-
-/// Precision / recall / harmonic score from integer match counts — the
-/// exact float expressions of `RankingModel::score_one`, so a score
-/// computed from counts is bitwise equal to the batch score of the same
-/// profile set.
-fn score_counts(f: usize, s: usize, total_f: usize) -> (f64, f64, f64) {
-    let precision = if f + s > 0 {
-        f as f64 / (f + s) as f64
-    } else {
-        0.0
-    };
-    let recall = if total_f > 0 {
-        f as f64 / total_f as f64
-    } else {
-        0.0
-    };
-    let score = if precision + recall > 0.0 {
-        2.0 * precision * recall / (precision + recall)
-    } else {
-        0.0
-    };
-    (precision, recall, score)
-}
-
-/// The §5.2 ranking statistics, maintained one profile at a time.
-///
-/// Each ingested profile updates per-event presence counts in
-/// `O(|profile| log U)`; a live ranking over the event universe `U`
-/// ([`IncrementalRanking::scores`]) costs `O(U log U)` — independent of
-/// how many profiles have accumulated, where the batch model pays
-/// `O(P × U)` per re-score. A shadow [`RankingModel`] keeps the full
-/// profiles so [`IncrementalRanking::finish`] returns the batch ranking
-/// verbatim (witness id lists included), bit-identical to calling
-/// `rank()` / `rank_with_absence()` on the same profile stream.
-#[derive(Debug, Clone)]
-pub struct IncrementalRanking<E: Ord + Clone> {
-    model: RankingModel<E>,
-    counts: BTreeMap<E, EventCounts>,
-    total_fail: usize,
-    total_succ: usize,
-    absence: bool,
-}
-
-impl<E: Ord + Clone> IncrementalRanking<E> {
-    /// An empty presence-only ranking (the LBRA shape).
-    pub fn new() -> Self {
-        IncrementalRanking {
-            model: RankingModel::new(),
-            counts: BTreeMap::new(),
-            total_fail: 0,
-            total_succ: 0,
-            absence: false,
-        }
-    }
-
-    /// An empty ranking that also scores absence predictors (the LCRA
-    /// shape, §4.2.2).
-    pub fn with_absence() -> Self {
-        IncrementalRanking {
-            absence: true,
-            ..IncrementalRanking::new()
-        }
-    }
-
-    /// Whether absence predictors are scored alongside presence ones.
-    pub fn scores_absence(&self) -> bool {
-        self.absence
-    }
-
-    /// Failure profiles ingested so far.
-    pub fn failure_count(&self) -> usize {
-        self.total_fail
-    }
-
-    /// Success profiles ingested so far.
-    pub fn success_count(&self) -> usize {
-        self.total_succ
-    }
-
-    /// Folds one witness profile into the statistics.
-    pub fn ingest(&mut self, is_failure: bool, id: impl Into<String>, events: BTreeSet<E>) {
-        for e in &events {
-            let slot = self.counts.entry(e.clone()).or_default();
-            if is_failure {
-                slot.fail += 1;
-            } else {
-                slot.succ += 1;
-            }
-        }
-        if is_failure {
-            self.total_fail += 1;
-        } else {
-            self.total_succ += 1;
-        }
-        self.model.add_profile_named(is_failure, id, events);
-    }
-
-    fn score_key(&self, event: &E, polarity: Polarity) -> ScoredPredictor<E> {
-        let c = self.counts.get(event).copied().unwrap_or_default();
-        let (f, s) = match polarity {
-            Polarity::Present => (c.fail, c.succ),
-            Polarity::Absent => (self.total_fail - c.fail, self.total_succ - c.succ),
-        };
-        let (precision, recall, score) = score_counts(f, s, self.total_fail);
-        ScoredPredictor {
-            event: event.clone(),
-            polarity,
-            precision,
-            recall,
-            score,
-            failure_matches: f,
-            success_matches: s,
-        }
-    }
-
-    /// The current ranking, best first, under the batch tie-break order
-    /// (score descending, event ascending, `Present` before `Absent`).
-    /// Scores are bitwise equal to what the batch model would report for
-    /// the same prefix of profiles.
-    #[must_use = "scoring computes a fresh ranking; use the returned list"]
-    pub fn scores(&self) -> Vec<ScoredPredictor<E>> {
-        let mut out: Vec<ScoredPredictor<E>> = Vec::new();
-        for e in self.counts.keys() {
-            out.push(self.score_key(e, Polarity::Present));
-            if self.absence {
-                out.push(self.score_key(e, Polarity::Absent));
-            }
-        }
-        out.sort_by(|a, b| {
-            b.score.total_cmp(&a.score).then_with(|| {
-                a.event
-                    .cmp(&b.event)
-                    .then_with(|| a.polarity.cmp(&b.polarity))
-            })
-        });
-        out
-    }
-
-    /// The final batch ranking over everything ingested — delegated to
-    /// the shadow [`RankingModel`], so the result (witness lists and all)
-    /// is bit-identical to a batch `rank()` / `rank_with_absence()` over
-    /// the same profiles.
-    #[must_use = "finishing consumes the ranking; use the returned list"]
-    pub fn finish(self) -> Vec<RankedEvent<E>> {
-        if self.absence {
-            self.model.rank_with_absence()
-        } else {
-            self.model.rank()
-        }
-    }
-}
-
-impl<E: Ord + Clone> Default for IncrementalRanking<E> {
-    fn default() -> Self {
-        IncrementalRanking::new()
-    }
-}
-
 /// Kendall-style displacement between two top-k rankings: the number of
 /// predictor pairs whose relative order inverted. A key absent from one
 /// ranking sits at virtual position `k` (below everything ranked), so an
@@ -354,32 +158,42 @@ pub struct Trajectory {
     pub points: Vec<(usize, f64)>,
 }
 
-/// Live convergence state over an [`IncrementalRanking`]: churn, streak,
-/// and trajectories, polled once per ingested witness.
+/// Live convergence state over a [`RankingModel`]: the cached live
+/// scores, churn, streak and trajectories, polled once per ingested
+/// witness.
 #[derive(Debug, Clone)]
 pub struct ConvergenceTracker<E: Ord + Clone + Display> {
-    ranking: IncrementalRanking<E>,
+    model: RankingModel<E>,
+    absence: bool,
     policy: StabilityPolicy,
-    prev_top: Vec<(E, Polarity)>,
+    scores: Vec<RankedEvent<E>>,
     churn: u64,
     top1_streak: usize,
     history: Vec<PollPoint>,
     trajectories: BTreeMap<String, Vec<(usize, f64)>>,
-    top: Vec<ScoredPredictor<E>>,
 }
 
 impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
-    /// A tracker over an empty ranking.
-    pub fn new(ranking: IncrementalRanking<E>, policy: StabilityPolicy) -> Self {
+    /// A tracker over an empty presence-only ranking (the LBRA shape).
+    pub fn new(policy: StabilityPolicy) -> Self {
         ConvergenceTracker {
-            ranking,
+            model: RankingModel::new(),
+            absence: false,
             policy,
-            prev_top: Vec::new(),
+            scores: Vec::new(),
             churn: 0,
             top1_streak: 0,
             history: Vec::new(),
             trajectories: BTreeMap::new(),
-            top: Vec::new(),
+        }
+    }
+
+    /// A tracker over an empty ranking that also scores absence
+    /// predictors (the LCRA shape, §4.2.2).
+    pub fn with_absence(policy: StabilityPolicy) -> Self {
+        ConvergenceTracker {
+            absence: true,
+            ..ConvergenceTracker::new(policy)
         }
     }
 
@@ -390,17 +204,17 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
 
     /// Witnesses ingested so far (both classes).
     pub fn witnesses(&self) -> usize {
-        self.ranking.failure_count() + self.ranking.success_count()
+        self.failures() + self.successes()
     }
 
     /// Failure profiles ingested so far.
     pub fn failures(&self) -> usize {
-        self.ranking.failure_count()
+        self.model.failure_count()
     }
 
     /// Success profiles ingested so far.
     pub fn successes(&self) -> usize {
-        self.ranking.success_count()
+        self.model.success_count()
     }
 
     /// Top-k churn measured at the latest poll.
@@ -414,16 +228,16 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
     }
 
     /// The latest top-k ranking.
-    pub fn top(&self) -> &[ScoredPredictor<E>] {
-        &self.top
+    pub fn top(&self) -> &[RankedEvent<E>] {
+        &self.scores[..self.scores.len().min(TOP_K)]
     }
 
-    /// The full live ranking over every observed event — the causal-chain
+    /// The full live ranking over every observed event, as of the latest
+    /// ingest and without witness lists — the causal-chain
     /// reconstructor's support source (link candidates deep in a ring
     /// window rarely make the top-k).
-    #[must_use = "scoring computes a fresh ranking; use the returned list"]
-    pub fn scores(&self) -> Vec<ScoredPredictor<E>> {
-        self.ranking.scores()
+    pub fn scores(&self) -> &[RankedEvent<E>] {
+        &self.scores
     }
 
     /// Per-witness poll history.
@@ -439,21 +253,28 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
         }
     }
 
+    /// The top-k predictor keys.
+    fn top_keys(&self) -> Vec<(E, Polarity)> {
+        self.top()
+            .iter()
+            .map(|p| (p.event.clone(), p.polarity))
+            .collect()
+    }
+
     /// Ingests one witness profile and re-polls the convergence state.
     pub fn observe(&mut self, is_failure: bool, id: impl Into<String>, events: BTreeSet<E>) {
-        self.ranking.ingest(is_failure, id, events);
-        let scored = self.ranking.scores();
-        let top: Vec<ScoredPredictor<E>> = scored.into_iter().take(TOP_K).collect();
-        let keys: Vec<(E, Polarity)> = top.iter().map(|p| (p.event.clone(), p.polarity)).collect();
-        self.churn = rank_churn(&self.prev_top, &keys);
-        let top1 = keys.first();
-        self.top1_streak = match (self.prev_top.first(), top1) {
+        let prev = self.top_keys();
+        self.model.add_profile_named(is_failure, id, events);
+        self.scores = self.model.scores(self.absence);
+        let keys = self.top_keys();
+        self.churn = rank_churn(&prev, &keys);
+        self.top1_streak = match (prev.first(), keys.first()) {
             (Some(prev), Some(cur)) if prev == cur => self.top1_streak + 1,
             (_, Some(_)) => 1,
             (_, None) => 0,
         };
         let witness = self.witnesses();
-        for p in &top {
+        for p in &self.scores[..keys.len()] {
             self.trajectories
                 .entry(Self::label(&p.event, p.polarity))
                 .or_default()
@@ -464,8 +285,6 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             churn: self.churn,
             top1_streak: self.top1_streak,
         });
-        self.prev_top = keys;
-        self.top = top;
     }
 
     /// Whether the policy's stability conditions hold right now
@@ -486,6 +305,11 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
     /// accumulated convergence evidence.
     #[must_use = "finishing consumes the tracker; use the returned parts"]
     pub fn finish(self) -> (Vec<RankedEvent<E>>, ConvergenceEvidence) {
+        let ranked = if self.absence {
+            self.model.rank_with_absence()
+        } else {
+            self.model.rank()
+        };
         let evidence = ConvergenceEvidence {
             witnesses: self.witnesses(),
             failures: self.failures(),
@@ -493,9 +317,12 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             churn: self.churn,
             top1_streak: self.top1_streak,
             stable: self.is_stable(),
-            top1: self.top.first().map(|p| Self::label(&p.event, p.polarity)),
+            top1: self
+                .top()
+                .first()
+                .map(|p| Self::label(&p.event, p.polarity)),
             top: self
-                .top
+                .top()
                 .iter()
                 .map(|p| PredictorSummary {
                     predictor: Self::label(&p.event, p.polarity),
@@ -513,13 +340,13 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
                 .collect(),
             history: self.history,
         };
-        (self.ranking.finish(), evidence)
+        (ranked, evidence)
     }
 
     /// The tracker's live state as the `/diagnosis` JSON document.
     pub fn to_json(&self, verdict: &str) -> Json {
         let top = self
-            .top
+            .top()
             .iter()
             .map(|p| {
                 Json::obj([
@@ -721,25 +548,23 @@ impl ConvergenceReport {
 /// (for snapshot decoding), the [`FailureSpec`] (for profile selection)
 /// and the ring-appropriate [`ConvergenceTracker`] — and publishes
 /// nothing: no gauges, no status documents, no structured events. The
-/// engine-facing [`ConvergenceMonitor`] wraps it and adds the global
-/// observability surface; a fleet shard uses it directly and publishes
-/// per-shard series instead.
+/// engine publishes the global observability surface for the ingest it
+/// holds; a fleet shard publishes per-shard series instead.
 ///
 /// **Determinism contract** (pinned in `tests/fleet_determinism.rs`):
 /// observing the same `(is_failure, witness, report)` sequence always
 /// produces the same stop decision at the same snapshot, and
 /// [`SnapshotIngest::finish`] returns a final ranking bit-identical to
-/// the batch [`RankingModel`](crate::ranking::RankingModel) over the
-/// ingested snapshots — the shadow-model guarantee of
-/// [`IncrementalRanking::finish`]. Snapshots whose profile is missing or
-/// of the wrong ring are skipped exactly as the batch extractors skip
-/// them.
+/// the batch [`RankingModel`] over the ingested snapshots. Snapshots
+/// whose profile is missing or of the wrong ring are skipped exactly as
+/// the batch extractors skip them.
 #[derive(Debug)]
 pub struct SnapshotIngest {
     layout: Layout,
     spec: FailureSpec,
     policy: StabilityPolicy,
-    inner: Option<MonitorInner>,
+    tracker: Option<Tracker>,
+    progress: Progress,
     fired: bool,
     chain_traces: Vec<(String, ProfileData)>,
 }
@@ -750,22 +575,45 @@ pub struct SnapshotIngest {
 /// set is deterministic for a deterministic stream.
 pub const CHAIN_TRACE_CAP: usize = 8;
 
+/// The tracker of an ingest, typed by the ring kind its first profile
+/// carried.
 #[derive(Debug)]
-enum MonitorInner {
+enum Tracker {
     Lbr(ConvergenceTracker<BranchOutcome>),
     Lcr(ConvergenceTracker<CoherenceEvent>),
+}
+
+/// The event-type-free counters of an ingest's tracker, as of its latest
+/// poll.
+#[derive(Debug, Clone, Copy, Default)]
+struct Progress {
+    failures: usize,
+    successes: usize,
+    churn: u64,
+    top1_streak: usize,
+}
+
+impl Progress {
+    fn of<E: Ord + Clone + Display>(t: &ConvergenceTracker<E>) -> Progress {
+        Progress {
+            failures: t.failures(),
+            successes: t.successes(),
+            churn: t.churn(),
+            top1_streak: t.top1_streak(),
+        }
+    }
 }
 
 /// The live scored ranking of an ingest, typed by ring kind — the
 /// prefix-accurate counterpart of [`FinalRanking`] for consumers (the
 /// causal-chain reconstructor) that need support scores *before* the
-/// ingest finishes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LiveRanking {
+/// ingest finishes. Witness lists are empty.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LiveRanking<'a> {
     /// LBRA: presence predictors over branch outcomes.
-    Lbr(Vec<ScoredPredictor<BranchOutcome>>),
+    Lbr(&'a [RankedEvent<BranchOutcome>]),
     /// LCRA: presence and absence predictors over coherence events.
-    Lcr(Vec<ScoredPredictor<CoherenceEvent>>),
+    Lcr(&'a [RankedEvent<CoherenceEvent>]),
 }
 
 impl SnapshotIngest {
@@ -776,7 +624,8 @@ impl SnapshotIngest {
             layout,
             spec,
             policy,
-            inner: None,
+            tracker: None,
+            progress: Progress::default(),
             fired: false,
             chain_traces: Vec::new(),
         }
@@ -798,39 +647,31 @@ impl SnapshotIngest {
         let Some(profile) = profile else {
             return false;
         };
-        let ingested = match (&profile.data, &mut self.inner) {
-            (ProfileData::Lbr(records), Some(MonitorInner::Lbr(t))) => {
+        let policy = self.policy;
+        let tracker = self.tracker.get_or_insert_with(|| match profile.data {
+            ProfileData::Lbr(_) => Tracker::Lbr(ConvergenceTracker::new(policy)),
+            ProfileData::Lcr(_) => Tracker::Lcr(ConvergenceTracker::with_absence(policy)),
+        });
+        let stop = match (&profile.data, tracker) {
+            (ProfileData::Lbr(records), Tracker::Lbr(t)) => {
                 t.observe(is_failure, witness, lbr_events(&self.layout, records));
-                true
+                self.progress = Progress::of(t);
+                t.should_stop()
             }
-            (ProfileData::Lcr(records), Some(MonitorInner::Lcr(t))) => {
+            (ProfileData::Lcr(records), Tracker::Lcr(t)) => {
                 t.observe(is_failure, witness, lcr_events(&self.layout, records));
-                true
-            }
-            (ProfileData::Lbr(records), inner @ None) => {
-                let mut t = ConvergenceTracker::new(IncrementalRanking::new(), self.policy);
-                t.observe(is_failure, witness, lbr_events(&self.layout, records));
-                *inner = Some(MonitorInner::Lbr(t));
-                true
-            }
-            (ProfileData::Lcr(records), inner @ None) => {
-                let mut t =
-                    ConvergenceTracker::new(IncrementalRanking::with_absence(), self.policy);
-                t.observe(is_failure, witness, lcr_events(&self.layout, records));
-                *inner = Some(MonitorInner::Lcr(t));
-                true
+                self.progress = Progress::of(t);
+                t.should_stop()
             }
             // A profile of the other ring: the batch model skips it too.
-            _ => false,
+            _ => return false,
         };
-        if ingested && is_failure && self.chain_traces.len() < CHAIN_TRACE_CAP {
+        if is_failure && self.chain_traces.len() < CHAIN_TRACE_CAP {
             self.chain_traces
                 .push((witness.to_string(), profile.data.clone()));
         }
-        if ingested && self.should_stop() {
-            self.fired = true;
-        }
-        ingested
+        self.fired |= stop;
+        true
     }
 
     /// The layout snapshots are decoded against.
@@ -845,13 +686,13 @@ impl SnapshotIngest {
         &self.chain_traces
     }
 
-    /// The full live scored ranking, typed by ring kind. `None` before
-    /// the first profile-bearing snapshot pins the kind.
-    pub fn live_ranking(&self) -> Option<LiveRanking> {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t)) => Some(LiveRanking::Lbr(t.scores())),
-            Some(MonitorInner::Lcr(t)) => Some(LiveRanking::Lcr(t.scores())),
-            None => None,
+    /// The full live scored ranking as of the latest ingest, typed by
+    /// ring kind. `None` before the first profile-bearing snapshot pins
+    /// the kind.
+    pub fn live_ranking(&self) -> Option<LiveRanking<'_>> {
+        match self.tracker.as_ref()? {
+            Tracker::Lbr(t) => Some(LiveRanking::Lbr(t.scores())),
+            Tracker::Lcr(t) => Some(LiveRanking::Lcr(t.scores())),
         }
     }
 
@@ -860,56 +701,31 @@ impl SnapshotIngest {
     /// cannot un-stop a diagnosis.
     pub fn should_stop(&self) -> bool {
         self.fired
-            || match &self.inner {
-                Some(MonitorInner::Lbr(t)) => t.should_stop(),
-                Some(MonitorInner::Lcr(t)) => t.should_stop(),
-                None => false,
-            }
     }
 
     /// Snapshots ingested so far (both classes).
     pub fn witnesses(&self) -> usize {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.witnesses(),
-            Some(MonitorInner::Lcr(t)) => t.witnesses(),
-            None => 0,
-        }
+        self.progress.failures + self.progress.successes
     }
 
     /// Failure snapshots ingested so far.
     pub fn failures(&self) -> usize {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.failures(),
-            Some(MonitorInner::Lcr(t)) => t.failures(),
-            None => 0,
-        }
+        self.progress.failures
     }
 
     /// Success snapshots ingested so far.
     pub fn successes(&self) -> usize {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.successes(),
-            Some(MonitorInner::Lcr(t)) => t.successes(),
-            None => 0,
-        }
+        self.progress.successes
     }
 
     /// Top-k churn at the latest ingest.
     pub fn churn(&self) -> u64 {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.churn(),
-            Some(MonitorInner::Lcr(t)) => t.churn(),
-            None => 0,
-        }
+        self.progress.churn
     }
 
     /// Consecutive snapshots the current top-1 predictor has survived.
     pub fn top1_streak(&self) -> usize {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.top1_streak(),
-            Some(MonitorInner::Lcr(t)) => t.top1_streak(),
-            None => 0,
-        }
+        self.progress.top1_streak
     }
 
     /// Live verdict string: `converged` once the policy has fired,
@@ -924,9 +740,9 @@ impl SnapshotIngest {
 
     /// The live state as a `/diagnosis`-shaped JSON document.
     pub fn to_json(&self) -> Json {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.to_json(self.live_verdict()),
-            Some(MonitorInner::Lcr(t)) => t.to_json(self.live_verdict()),
+        match &self.tracker {
+            Some(Tracker::Lbr(t)) => t.to_json(self.live_verdict()),
+            Some(Tracker::Lcr(t)) => t.to_json(self.live_verdict()),
             None => Json::obj([
                 ("verdict", Json::from(self.live_verdict())),
                 ("witnesses_ingested", Json::from(0usize)),
@@ -940,19 +756,17 @@ impl SnapshotIngest {
     /// carried a usable profile.
     #[must_use = "finishing consumes the ingest; use the returned report"]
     pub fn finish(self) -> Option<ConvergenceReport> {
-        let policy = self.policy;
-        let fired = self.fired;
-        let (final_ranking, evidence) = match self.inner? {
-            MonitorInner::Lbr(t) => {
+        let (final_ranking, evidence) = match self.tracker? {
+            Tracker::Lbr(t) => {
                 let (r, e) = t.finish();
                 (FinalRanking::Lbr(r), e)
             }
-            MonitorInner::Lcr(t) => {
+            Tracker::Lcr(t) => {
                 let (r, e) = t.finish();
                 (FinalRanking::Lcr(r), e)
             }
         };
-        let verdict = if fired {
+        let verdict = if self.fired {
             Verdict::ConvergedEarly
         } else if evidence.stable {
             Verdict::Stable
@@ -961,114 +775,10 @@ impl SnapshotIngest {
         };
         Some(ConvergenceReport {
             verdict,
-            policy,
+            policy: self.policy,
             evidence,
             final_ranking,
         })
-    }
-}
-
-/// The engine-facing monitor: a [`SnapshotIngest`] plus the *global*
-/// observability surface — the `engine.rank_churn` /
-/// `engine.top1_stable_for` / `engine.witnesses_ingested` gauges, the
-/// live `/diagnosis` status document, and the `diagnosis.converged` /
-/// `diagnosis.stalled` events emitted when the session ends. A fleet
-/// shard uses [`SnapshotIngest`] directly instead: these gauge names are
-/// single-call-site by contract (snapshots sum same-name gauges), so a
-/// per-shard consumer must publish per-shard labeled series, not these.
-///
-/// Non-generic on purpose: the gauge macros declare one static per call
-/// site and snapshots *sum* same-name gauges, so the `set()` calls must
-/// not be monomorphised into one copy per event type.
-#[derive(Debug)]
-pub struct ConvergenceMonitor {
-    ingest: SnapshotIngest,
-}
-
-impl ConvergenceMonitor {
-    /// A monitor for one session. The ring kind is inferred from the
-    /// first profile-bearing witness (so unpinned witness-mode sessions
-    /// work); runs whose profile is missing or of the other ring are
-    /// skipped, exactly as the batch extractors skip them.
-    pub fn new(layout: &Layout, spec: FailureSpec, policy: StabilityPolicy) -> Self {
-        let monitor = ConvergenceMonitor {
-            ingest: SnapshotIngest::new(layout.clone(), spec, policy),
-        };
-        monitor.publish();
-        monitor
-    }
-
-    /// Observes one kept witness run at the strict-ordered consumption
-    /// seam. Returns `true` when the run carried a usable profile and was
-    /// ingested.
-    pub fn observe(&mut self, is_failure: bool, witness: &str, report: &RunReport) -> bool {
-        let ingested = self.ingest.observe(is_failure, witness, report);
-        if ingested {
-            self.publish();
-        }
-        ingested
-    }
-
-    /// Whether the policy has decided to stop the session.
-    pub fn should_stop(&self) -> bool {
-        self.ingest.should_stop()
-    }
-
-    /// Pushes the gauges and the `/diagnosis` status document. These are
-    /// the single call sites for the three convergence gauges (snapshots
-    /// sum same-name gauges across call sites, so a second `set()` site
-    /// could not overwrite this one).
-    fn publish(&self) {
-        stm_telemetry::gauge!("engine.rank_churn").set(self.ingest.churn() as i64);
-        stm_telemetry::gauge!("engine.top1_stable_for").set(self.ingest.top1_streak() as i64);
-        stm_telemetry::gauge!("engine.witnesses_ingested").set(self.ingest.witnesses() as i64);
-        if stm_telemetry::enabled() {
-            stm_telemetry::status::publish("diagnosis", self.ingest.to_json());
-        }
-    }
-
-    /// Finalises the monitor: computes the verdict, emits the
-    /// `diagnosis.converged` / `diagnosis.stalled` structured event,
-    /// publishes the terminal `/diagnosis` document, and returns the
-    /// report. `None` when no witness ever carried a usable profile.
-    #[must_use = "finishing consumes the monitor; use the returned report"]
-    pub fn finish(self) -> Option<ConvergenceReport> {
-        let report = self.ingest.finish()?;
-        let policy = report.policy;
-        let verdict = report.verdict;
-        let e = &report.evidence;
-        let fields = || {
-            vec![
-                ("witnesses", e.witnesses.to_string()),
-                ("failures", e.failures.to_string()),
-                ("successes", e.successes.to_string()),
-                ("rank_churn", e.churn.to_string()),
-                ("top1_stable_for", e.top1_streak.to_string()),
-                ("top1", e.top1.clone().unwrap_or_default()),
-            ]
-        };
-        match verdict {
-            // `converged` also covers the quota-end `stable` case: the
-            // operator's question is "did the diagnosis settle", not
-            // "which loop condition ended it" — the verdict field keeps
-            // the distinction.
-            Verdict::ConvergedEarly | Verdict::Stable => {
-                if stm_telemetry::log::would_log(stm_telemetry::log::Level::Info) {
-                    let mut fields = fields();
-                    fields.push(("verdict", verdict.as_str().to_string()));
-                    stm_telemetry::log::info("engine", "diagnosis.converged", fields);
-                }
-            }
-            Verdict::Stalled => {
-                let mut fields = fields();
-                fields.push(("stable_for_required", policy.stable_for.to_string()));
-                stm_telemetry::log::warn("engine", "diagnosis.stalled", fields);
-            }
-        }
-        if stm_telemetry::enabled() {
-            stm_telemetry::status::publish("diagnosis", report.to_json());
-        }
-        Some(report)
     }
 }
 
@@ -1078,77 +788,6 @@ mod tests {
 
     fn set(items: &[&str]) -> BTreeSet<String> {
         items.iter().map(|s| s.to_string()).collect()
-    }
-
-    /// The canonical check: stream profiles through the incremental
-    /// ranker and compare against a batch model over the same stream.
-    fn batch(profiles: &[(bool, BTreeSet<String>)], absence: bool) -> Vec<RankedEvent<String>> {
-        let mut m = RankingModel::new();
-        for (i, (is_failure, events)) in profiles.iter().enumerate() {
-            m.add_profile_named(*is_failure, format!("p{i}"), events.clone());
-        }
-        if absence {
-            m.rank_with_absence()
-        } else {
-            m.rank()
-        }
-    }
-
-    fn stream(profiles: &[(bool, BTreeSet<String>)], absence: bool) -> IncrementalRanking<String> {
-        let mut inc = if absence {
-            IncrementalRanking::with_absence()
-        } else {
-            IncrementalRanking::new()
-        };
-        for (i, (is_failure, events)) in profiles.iter().enumerate() {
-            inc.ingest(*is_failure, format!("p{i}"), events.clone());
-        }
-        inc
-    }
-
-    fn mixed_profiles() -> Vec<(bool, BTreeSet<String>)> {
-        vec![
-            (true, set(&["root", "noise"])),
-            (true, set(&["root"])),
-            (false, set(&["noise", "guard"])),
-            (true, set(&["root", "guard"])),
-            (false, set(&["guard"])),
-            (false, set(&["noise"])),
-        ]
-    }
-
-    #[test]
-    fn finish_is_bit_identical_to_batch_rank() {
-        let profiles = mixed_profiles();
-        for absence in [false, true] {
-            let inc = stream(&profiles, absence);
-            let batch = batch(&profiles, absence);
-            assert_eq!(inc.finish(), batch, "absence={absence}");
-        }
-    }
-
-    #[test]
-    fn live_scores_match_batch_scores_at_every_prefix() {
-        let profiles = mixed_profiles();
-        for absence in [false, true] {
-            for cut in 1..=profiles.len() {
-                let inc = stream(&profiles[..cut], absence);
-                let scores = inc.scores();
-                let batch = batch(&profiles[..cut], absence);
-                assert_eq!(scores.len(), batch.len());
-                for (s, b) in scores.iter().zip(&batch) {
-                    assert_eq!(s.event, b.event, "cut={cut}");
-                    assert_eq!(s.polarity, b.polarity, "cut={cut}");
-                    // Bitwise equality: same integer counts, same float
-                    // expressions.
-                    assert_eq!(s.score.to_bits(), b.score.to_bits(), "cut={cut}");
-                    assert_eq!(s.precision.to_bits(), b.precision.to_bits());
-                    assert_eq!(s.recall.to_bits(), b.recall.to_bits());
-                    assert_eq!(s.failure_matches, b.failure_matches);
-                    assert_eq!(s.success_matches, b.success_matches);
-                }
-            }
-        }
     }
 
     #[test]
@@ -1167,10 +806,7 @@ mod tests {
 
     #[test]
     fn stable_stream_builds_a_streak_and_stops() {
-        let mut t = ConvergenceTracker::new(
-            IncrementalRanking::new(),
-            StabilityPolicy::default().stable_for(3),
-        );
+        let mut t = ConvergenceTracker::new(StabilityPolicy::default().stable_for(3));
         // Alternate failure/success so both class floors fill.
         for i in 0..8 {
             let is_failure = i % 2 == 0;
@@ -1196,7 +832,7 @@ mod tests {
         // Ten failures, zero successes: however stable the top-1, the
         // success floor must hold the stop (witness mode ingests all
         // failures before the first success).
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::default());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
         for i in 0..10 {
             t.observe(true, format!("f{i}"), set(&["root"]));
         }
@@ -1211,7 +847,7 @@ mod tests {
 
     #[test]
     fn never_policy_tracks_but_does_not_stop() {
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::never());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
         for i in 0..20 {
             t.observe(i % 2 == 0, format!("w{i}"), set(&["root"]));
         }
@@ -1221,7 +857,7 @@ mod tests {
 
     #[test]
     fn churny_stream_resets_the_streak() {
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::never());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
         // Each failure profile carries a different singleton event, so
         // the top-1 keeps flipping to the newest tie-break winner or an
         // earlier event — the streak must stay short.
@@ -1242,7 +878,7 @@ mod tests {
 
     #[test]
     fn trajectories_follow_top_k_members() {
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::never());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
         t.observe(true, "f0", set(&["root"]));
         t.observe(false, "s0", set(&["noise"]));
         let (_, evidence) = t.finish();
@@ -1271,7 +907,7 @@ mod tests {
 
     #[test]
     fn tracker_json_document_is_parseable_and_complete() {
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::default());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
         t.observe(true, "f0", set(&["root"]));
         let doc = t.to_json("collecting");
         let round = Json::parse(&doc.encode()).expect("valid JSON");

@@ -37,12 +37,6 @@ pub struct Quotas {
     pub max_runs: usize,
 }
 
-/// The quota type under its original name. `Quotas` used to be private
-/// to the diagnosis layer; the alias keeps struct-literal construction
-/// sites compiling while the session, scan and fleet surfaces all speak
-/// [`Quotas`].
-pub type DiagnosisConfig = Quotas;
-
 impl Default for Quotas {
     fn default() -> Self {
         Quotas {
@@ -440,13 +434,7 @@ mod tests {
             .map(|i| Workload::new(vec![1 + i as i64, (i as i64 * 29) % 100]))
             .collect();
         let spec = FailureSpec::ErrorLogAt(site);
-        let d = lbra_session(
-            &runner,
-            &failing,
-            &passing,
-            &spec,
-            &DiagnosisConfig::default(),
-        );
+        let d = lbra_session(&runner, &failing, &passing, &spec, &Quotas::default());
         assert_eq!(d.stats.failure_runs_used, 10);
         assert_eq!(d.stats.success_runs_used, 10);
         // The top predictor is (root branch, true-edge): precision and
@@ -467,7 +455,7 @@ mod tests {
         let failing = vec![Workload::new(vec![5, 5])];
         let passing = vec![Workload::new(vec![6, 6])];
         let spec = FailureSpec::ErrorLogAt(site);
-        let cfg = DiagnosisConfig {
+        let cfg = Quotas {
             failure_profiles: 3,
             success_profiles: 3,
             max_runs: 20,
@@ -489,7 +477,7 @@ mod tests {
             .map(|i| Workload::new(vec![1 + i as i64, (i as i64 * 29) % 100]))
             .collect();
         let spec = FailureSpec::ErrorLogAt(site);
-        let cfg = DiagnosisConfig {
+        let cfg = Quotas {
             failure_profiles: 6,
             success_profiles: 6,
             max_runs: 100,
@@ -509,7 +497,7 @@ mod tests {
         let failing = vec![Workload::new(vec![-5, 3]).with_seed(42)];
         let passing = vec![Workload::new(vec![5, 3]).with_seed(7)];
         let spec = FailureSpec::ErrorLogAt(site);
-        let cfg = DiagnosisConfig {
+        let cfg = Quotas {
             failure_profiles: 2,
             success_profiles: 1,
             max_runs: 20,

@@ -47,7 +47,7 @@
 //! channel, and surfaces as [`SessionError::WorkerPanicked`] instead of a
 //! hang.
 
-use crate::converge::{ConvergenceMonitor, ConvergenceReport, StabilityPolicy};
+use crate::converge::{ConvergenceReport, SnapshotIngest, StabilityPolicy, Verdict};
 use crate::diagnose::{failure_profile, success_profile, DiagnosisStats, Quotas};
 use crate::runner::{FailureSpec, RunClass, Runner, Workload};
 use crate::transform::{instrument, InstrumentOptions};
@@ -480,9 +480,8 @@ impl DiagnosisSession {
     }
 
     /// Attaches a convergence monitor: the session feeds every consumed
-    /// witness into an incremental ranking
-    /// ([`IncrementalRanking`](crate::converge::IncrementalRanking)),
-    /// publishes the `engine.rank_churn` / `engine.top1_stable_for` /
+    /// witness into a [`SnapshotIngest`], publishes the
+    /// `engine.rank_churn` / `engine.top1_stable_for` /
     /// `engine.witnesses_ingested` gauges and the live `/diagnosis`
     /// document, and — when `policy.stop` is set — stops collecting as
     /// soon as the top-1 predictor has been stable for
@@ -595,13 +594,15 @@ impl DiagnosisSession {
             let spec = spec.clone();
             move |job: &Job| r.run_classified(&job.workload, &spec)
         };
-        // The monitor ingests witnesses at the ordered consumption seam,
-        // one incremental ranking update per kept run; it persists across
+        // The ingest sees witnesses at the ordered consumption seam, one
+        // incremental ranking update per kept run; it persists across
         // both witness phases so the success phase continues the failure
         // phase's statistics.
-        let mut monitor = self
-            .policy
-            .map(|p| ConvergenceMonitor::new(runner.machine().layout(), spec.clone(), p));
+        let mut ingest = self.policy.map(|p| {
+            let ingest = SnapshotIngest::new(runner.machine().layout().clone(), spec.clone(), p);
+            publish_convergence(&ingest);
+            ingest
+        });
         let mut loss = SessionLoss::default();
         if scan {
             let seeds = self.seeds.unwrap_or(0..self.config.quotas.max_runs as u64);
@@ -617,7 +618,7 @@ impl DiagnosisSession {
                 &mut quota,
                 &spec,
                 &mut sink,
-                &mut monitor,
+                &mut ingest,
                 &factory,
             )?;
             loss.absorb(&quota);
@@ -631,7 +632,7 @@ impl DiagnosisSession {
                 &mut quota,
                 &spec,
                 &mut sink,
-                &mut monitor,
+                &mut ingest,
                 &factory,
             )?;
             loss.absorb(&quota);
@@ -644,7 +645,7 @@ impl DiagnosisSession {
                 &mut quota,
                 &spec,
                 &mut sink,
-                &mut monitor,
+                &mut ingest,
                 &factory,
             )?;
             loss.absorb(&quota);
@@ -652,8 +653,8 @@ impl DiagnosisSession {
         // A stability-policy stop leaves the quota legitimately unfilled;
         // record that before finishing so the streak accounting treats
         // the session as a success, not a shortfall.
-        loss.converged_early = monitor.as_ref().is_some_and(|m| m.should_stop());
-        let convergence = monitor.and_then(|m| m.finish());
+        loss.converged_early = converged(&ingest);
+        let convergence = ingest.and_then(finish_convergence);
         Ok((
             CollectedProfiles {
                 runner,
@@ -1000,7 +1001,7 @@ fn consume(
     quota: &mut Quota,
     spec: &FailureSpec,
     sink: &mut Sink,
-    monitor: &mut Option<ConvergenceMonitor>,
+    ingest: &mut Option<SnapshotIngest>,
 ) {
     sink.stats.total_runs += 1;
     let Some(pick) = quota.consider(class, &report, spec) else {
@@ -1014,8 +1015,10 @@ fn consume(
     // One incremental ranking update per kept run, still inside the
     // ordered consumption seam — the early-stop decision this feeds is
     // therefore identical at any thread count.
-    if let Some(m) = monitor.as_mut() {
-        m.observe(is_failure, &witness, &report);
+    if let Some(ingest) = ingest.as_mut() {
+        if ingest.observe(is_failure, &witness, &report) {
+            publish_convergence(ingest);
+        }
     }
     let run = CollectedRun {
         witness,
@@ -1032,8 +1035,64 @@ fn consume(
 }
 
 /// Has an attached convergence monitor decided to stop the session?
-fn converged(monitor: &Option<ConvergenceMonitor>) -> bool {
-    monitor.as_ref().is_some_and(|m| m.should_stop())
+fn converged(ingest: &Option<SnapshotIngest>) -> bool {
+    ingest.as_ref().is_some_and(SnapshotIngest::should_stop)
+}
+
+/// Pushes a monitored session's convergence gauges and its `/diagnosis`
+/// status document. These are the single call sites of the three gauges:
+/// the gauge macros declare one static per call site and snapshots sum
+/// same-name gauges, so this stays non-generic and a fleet shard
+/// publishes per-shard series instead.
+fn publish_convergence(ingest: &SnapshotIngest) {
+    stm_telemetry::gauge!("engine.rank_churn").set(ingest.churn() as i64);
+    stm_telemetry::gauge!("engine.top1_stable_for").set(ingest.top1_streak() as i64);
+    stm_telemetry::gauge!("engine.witnesses_ingested").set(ingest.witnesses() as i64);
+    if stm_telemetry::enabled() {
+        stm_telemetry::status::publish("diagnosis", ingest.to_json());
+    }
+}
+
+/// Finalises a monitored session's ingest: emits the
+/// `diagnosis.converged` / `diagnosis.stalled` structured event,
+/// publishes the terminal `/diagnosis` document, and returns the report.
+/// `None` when no witness ever carried a usable profile.
+fn finish_convergence(ingest: SnapshotIngest) -> Option<ConvergenceReport> {
+    let report = ingest.finish()?;
+    let verdict = report.verdict;
+    let e = &report.evidence;
+    let fields = || {
+        vec![
+            ("witnesses", e.witnesses.to_string()),
+            ("failures", e.failures.to_string()),
+            ("successes", e.successes.to_string()),
+            ("rank_churn", e.churn.to_string()),
+            ("top1_stable_for", e.top1_streak.to_string()),
+            ("top1", e.top1.clone().unwrap_or_default()),
+        ]
+    };
+    match verdict {
+        // `converged` also covers the quota-end `stable` case: the
+        // operator's question is "did the diagnosis settle", not "which
+        // loop condition ended it" — the verdict field keeps the
+        // distinction.
+        Verdict::ConvergedEarly | Verdict::Stable => {
+            if stm_telemetry::log::would_log(stm_telemetry::log::Level::Info) {
+                let mut fields = fields();
+                fields.push(("verdict", verdict.as_str().to_string()));
+                stm_telemetry::log::info("engine", "diagnosis.converged", fields);
+            }
+        }
+        Verdict::Stalled => {
+            let mut fields = fields();
+            fields.push(("stable_for_required", report.policy.stable_for.to_string()));
+            stm_telemetry::log::warn("engine", "diagnosis.stalled", fields);
+        }
+    }
+    if stm_telemetry::enabled() {
+        stm_telemetry::status::publish("diagnosis", report.to_json());
+    }
+    Some(report)
 }
 
 /// Executes one plan, sequentially or on the pool, consuming results in
@@ -1050,7 +1109,7 @@ fn run_plan<W, F>(
     quota: &mut Quota,
     spec: &FailureSpec,
     sink: &mut Sink,
-    monitor: &mut Option<ConvergenceMonitor>,
+    ingest: &mut Option<SnapshotIngest>,
     factory: &F,
 ) -> Result<(), SessionError>
 where
@@ -1058,14 +1117,14 @@ where
     W: FnMut(&Job) -> (RunReport, RunClass) + Send,
 {
     let limit = plan.len();
-    if limit == 0 || quota.done() || converged(monitor) {
+    if limit == 0 || quota.done() || converged(ingest) {
         return Ok(());
     }
 
     if threads <= 1 {
         let mut exec = factory(0);
         let mut index = 0u64;
-        while index < limit && !quota.done() && !converged(monitor) {
+        while index < limit && !quota.done() && !converged(ingest) {
             let job = plan.job_at(index);
             let _span = stm_telemetry::span_cat("engine.job", "engine");
             stm_telemetry::counter!("engine.runs").incr();
@@ -1079,7 +1138,7 @@ where
                 );
                 SessionError::WorkerPanicked { job: jid, message }
             })?;
-            consume(job, report, class, quota, spec, sink, monitor);
+            consume(job, report, class, quota, spec, sink, ingest);
             index += 1;
         }
         return Ok(());
@@ -1170,7 +1229,7 @@ where
         type Parked = (Job, RunReport, RunClass, Option<std::time::Instant>);
         let mut pending: BTreeMap<u64, Parked> = BTreeMap::new();
         let mut failure: Option<SessionError> = None;
-        while consumed < limit && !quota.done() && !converged(monitor) && failure.is_none() {
+        while consumed < limit && !quota.done() && !converged(ingest) && failure.is_none() {
             // Keep the queue primed up to the speculation window, one
             // chunk per send.
             while dispatched < limit && dispatched < consumed + window as u64 {
@@ -1234,7 +1293,7 @@ where
             // Consume the ready prefix, in order, re-checking the quota
             // (and the convergence stop) after each job exactly as the
             // sequential loop does.
-            while !quota.done() && !converged(monitor) {
+            while !quota.done() && !converged(ingest) {
                 let Some((job, report, class, arrived)) = pending.remove(&consumed) else {
                     break;
                 };
@@ -1244,16 +1303,25 @@ where
                 }
                 let _span = stm_telemetry::span_cat("engine.consume", "engine")
                     .with_flow(job.flow, stm_telemetry::FlowPhase::End);
-                consume(job, report, class, quota, spec, sink, monitor);
+                consume(job, report, class, quota, spec, sink, ingest);
                 consumed += 1;
             }
         }
 
         // Stop feeding; let the workers drain the queue and exit, then
-        // account the speculative overshoot.
+        // account the speculative overshoot. A discarded job's flow ends
+        // here, so every flow a trace opens is also closed.
         drop(job_tx);
+        let discard = |job: &Job| {
+            if job.flow != 0 {
+                let _span = stm_telemetry::span_cat("engine.discard", "engine")
+                    .with_flow(job.flow, stm_telemetry::FlowPhase::End);
+            }
+        };
+        pending.values().for_each(|(job, ..)| discard(job));
         for msg in res_rx.iter() {
             depth.add(-(msg.len as i64));
+            msg.runs.iter().for_each(|(job, ..)| discard(job));
         }
         stm_telemetry::counter!("engine.jobs_discarded").add(dispatched.saturating_sub(consumed));
         depth.set(0);

@@ -77,7 +77,7 @@ pub mod transform;
 ///
 /// This is the blessed public surface: the [`DiagnosisSession`] engine,
 /// its [`SessionConfig`]/[`Quotas`] configuration, and the whole
-/// [`converge`] module (incremental ranking, stability policies, the
+/// [`converge`] module (convergence tracking, stability policies, the
 /// snapshot-level [`SnapshotIngest`](converge::SnapshotIngest) entry
 /// point). The PR-3 era free functions (`lbra`, `lcra`,
 /// `find_workloads`) are gone; every caller goes through a session or a
@@ -85,9 +85,7 @@ pub mod transform;
 pub mod prelude {
     pub use crate::analysis::{useful_branch_ratio, UsefulBranchReport};
     pub use crate::converge::*;
-    pub use crate::diagnose::{
-        DiagnosisConfig, DiagnosisStats, LbraDiagnosis, LcraDiagnosis, Quotas,
-    };
+    pub use crate::diagnose::{DiagnosisStats, LbraDiagnosis, LcraDiagnosis, Quotas};
     pub use crate::engine::{
         CollectedProfiles, CollectedRun, DiagnosisSession, ProfileKind, SessionConfig, SessionError,
     };

@@ -14,7 +14,8 @@
 //! configuration ("failures are highly correlated with B2 *not*
 //! encountering a shared state").
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether a predictor fires on the presence or the absence of its event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,10 +46,10 @@ pub struct RankedEvent<E> {
     /// Number of success runs matching the predictor.
     pub success_matches: usize,
     /// Ids of the failure runs matching the predictor — the runs that
-    /// voted for it.
+    /// voted for it. Empty in a [`RankingModel::scores`] list.
     pub failure_witnesses: Vec<String>,
     /// Ids of the success runs matching the predictor — the runs that
-    /// dilute its precision.
+    /// dilute its precision. Empty in a [`RankingModel::scores`] list.
     pub success_witnesses: Vec<String>,
 }
 
@@ -59,35 +60,100 @@ impl<E> RankedEvent<E> {
     }
 }
 
-/// One run's contribution to the model: its id and its event set.
-#[derive(Debug, Clone)]
-struct Profile<E> {
-    id: String,
-    events: BTreeSet<E>,
+/// The profiles that contained one event: indices into the per-class
+/// witness-name tables, in ingest order. A list's length is the event's
+/// `|F∧e|` (or `|S∧e|`) count.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    fail: Vec<u32>,
+    succ: Vec<u32>,
 }
 
 /// Accumulates profiles and ranks events.
+///
+/// Each profile is folded in on arrival: the profile's id joins its
+/// class's witness-name table and every event it contains gains one
+/// posting. No profile's event set is kept, so a ranking costs
+/// `O(U log U)` over the event universe `U` plus the witness lists it
+/// names, however many profiles have accumulated.
 #[derive(Debug, Clone)]
 pub struct RankingModel<E> {
-    failure_profiles: Vec<Profile<E>>,
-    success_profiles: Vec<Profile<E>>,
+    events: BTreeMap<E, Postings>,
+    failure_ids: Vec<String>,
+    success_ids: Vec<String>,
+}
+
+/// Prediction precision, recall and their harmonic mean from match
+/// counts: `f` failure and `s` success profiles match the predictor, out
+/// of `total_f` failure profiles.
+fn score(f: usize, s: usize, total_f: usize) -> (f64, f64, f64) {
+    let precision = if f + s > 0 {
+        f as f64 / (f + s) as f64
+    } else {
+        0.0
+    };
+    let recall = if total_f > 0 {
+        f as f64 / total_f as f64
+    } else {
+        0.0
+    };
+    let score = if precision + recall > 0.0 {
+        2.0 * precision * recall / (precision + recall)
+    } else {
+        0.0
+    };
+    // The three values are ratios of finite counts with guarded
+    // denominators; a non-finite score would silently scramble every
+    // downstream sort, so fail loudly here instead.
+    debug_assert!(
+        precision.is_finite() && recall.is_finite() && score.is_finite(),
+        "non-finite ranking score (precision {precision}, recall {recall}, score {score})"
+    );
+    (precision, recall, score)
+}
+
+/// The predictor order: score descending, then event ascending, then
+/// `Present` before `Absent`. No two predictors of one ranking compare
+/// equal, so any sort under this order yields the same list.
+fn by_rank<E: Ord>(a: &RankedEvent<E>, b: &RankedEvent<E>) -> Ordering {
+    b.score
+        .total_cmp(&a.score)
+        .then_with(|| a.event.cmp(&b.event))
+        .then_with(|| a.polarity.cmp(&b.polarity))
+}
+
+/// The names of one class's profiles matching a predictor: the posting
+/// list itself for presence, its complement in ingest order for absence.
+fn witness_names(ids: &[String], posting: &[u32], polarity: Polarity) -> Vec<String> {
+    match polarity {
+        Polarity::Present => posting.iter().map(|&i| ids[i as usize].clone()).collect(),
+        Polarity::Absent => {
+            let mut hits = posting.iter().copied().peekable();
+            ids.iter()
+                .enumerate()
+                .filter(|&(i, _)| hits.next_if_eq(&(i as u32)).is_none())
+                .map(|(_, id)| id.clone())
+                .collect()
+        }
+    }
 }
 
 impl<E: Ord + Clone> RankingModel<E> {
     /// Creates an empty model.
     pub fn new() -> Self {
         RankingModel {
-            failure_profiles: Vec::new(),
-            success_profiles: Vec::new(),
+            events: BTreeMap::new(),
+            failure_ids: Vec::new(),
+            success_ids: Vec::new(),
         }
     }
 
     /// Adds one run's profile under an auto-generated id (`F#n` / `S#n`).
     pub fn add_profile(&mut self, is_failure: bool, events: BTreeSet<E>) {
         let id = if is_failure {
-            format!("F#{}", self.failure_profiles.len())
+            format!("F#{}", self.failure_ids.len())
         } else {
-            format!("S#{}", self.success_profiles.len())
+            format!("S#{}", self.success_ids.len())
         };
         self.add_profile_named(is_failure, id, events);
     }
@@ -101,77 +167,57 @@ impl<E: Ord + Clone> RankingModel<E> {
         id: impl Into<String>,
         events: BTreeSet<E>,
     ) {
-        let p = Profile {
-            id: id.into(),
-            events,
-        };
-        if is_failure {
-            self.failure_profiles.push(p);
+        let ids = if is_failure {
+            &mut self.failure_ids
         } else {
-            self.success_profiles.push(p);
+            &mut self.success_ids
+        };
+        let index = u32::try_from(ids.len()).expect("at most u32::MAX profiles per class");
+        ids.push(id.into());
+        for e in events {
+            let postings = self.events.entry(e).or_default();
+            if is_failure {
+                postings.fail.push(index);
+            } else {
+                postings.succ.push(index);
+            }
         }
     }
 
     /// Number of failure profiles collected so far.
     pub fn failure_count(&self) -> usize {
-        self.failure_profiles.len()
+        self.failure_ids.len()
     }
 
     /// Number of success profiles collected so far.
     pub fn success_count(&self) -> usize {
-        self.success_profiles.len()
+        self.success_ids.len()
     }
 
-    fn universe(&self) -> BTreeSet<E> {
-        let mut u = BTreeSet::new();
-        for p in self.failure_profiles.iter().chain(&self.success_profiles) {
-            u.extend(p.events.iter().cloned());
-        }
-        u
-    }
-
-    fn score_one(&self, event: &E, polarity: Polarity) -> RankedEvent<E> {
-        let matches = |p: &Profile<E>| match polarity {
-            Polarity::Present => p.events.contains(event),
-            Polarity::Absent => !p.events.contains(event),
+    fn predictor(
+        &self,
+        event: &E,
+        postings: &Postings,
+        polarity: Polarity,
+        witnesses: bool,
+    ) -> RankedEvent<E> {
+        let total_f = self.failure_ids.len();
+        let (f, s) = match polarity {
+            Polarity::Present => (postings.fail.len(), postings.succ.len()),
+            Polarity::Absent => (
+                total_f - postings.fail.len(),
+                self.success_ids.len() - postings.succ.len(),
+            ),
         };
-        let failure_witnesses: Vec<String> = self
-            .failure_profiles
-            .iter()
-            .filter(|p| matches(p))
-            .map(|p| p.id.clone())
-            .collect();
-        let success_witnesses: Vec<String> = self
-            .success_profiles
-            .iter()
-            .filter(|p| matches(p))
-            .map(|p| p.id.clone())
-            .collect();
-        let f = failure_witnesses.len();
-        let s = success_witnesses.len();
-        let total_f = self.failure_profiles.len();
-        let precision = if f + s > 0 {
-            f as f64 / (f + s) as f64
+        let (precision, recall, score) = score(f, s, total_f);
+        let (failure_witnesses, success_witnesses) = if witnesses {
+            (
+                witness_names(&self.failure_ids, &postings.fail, polarity),
+                witness_names(&self.success_ids, &postings.succ, polarity),
+            )
         } else {
-            0.0
+            (Vec::new(), Vec::new())
         };
-        let recall = if total_f > 0 {
-            f as f64 / total_f as f64
-        } else {
-            0.0
-        };
-        let score = if precision + recall > 0.0 {
-            2.0 * precision * recall / (precision + recall)
-        } else {
-            0.0
-        };
-        // The three values are ratios of finite counts with guarded
-        // denominators; a non-finite score would silently scramble every
-        // downstream sort, so fail loudly here instead.
-        debug_assert!(
-            precision.is_finite() && recall.is_finite() && score.is_finite(),
-            "non-finite ranking score (precision {precision}, recall {recall}, score {score})"
-        );
         RankedEvent {
             event: event.clone(),
             polarity,
@@ -185,26 +231,29 @@ impl<E: Ord + Clone> RankingModel<E> {
         }
     }
 
+    /// Every predictor over the observed events, best first.
+    fn predictors(&self, absence: bool, witnesses: bool) -> Vec<RankedEvent<E>> {
+        let mut ranked = Vec::with_capacity(self.events.len() * (1 + usize::from(absence)));
+        for (event, postings) in &self.events {
+            ranked.push(self.predictor(event, postings, Polarity::Present, witnesses));
+            if absence {
+                ranked.push(self.predictor(event, postings, Polarity::Absent, witnesses));
+            }
+        }
+        ranked.sort_unstable_by(by_rank);
+        ranked
+    }
+
     /// Ranks all presence predictors, best first.
     ///
     /// Tie-breaking is deterministic: predictors with equal harmonic score
     /// are ordered by their event's `Ord` order (ascending). Downstream
     /// re-sorts (e.g. the failure-proximity tie-break of
-    /// [`lbra`](crate::diagnose::lbra)) are stable, so rank numbers are
+    /// [`lbra`](crate::engine::CollectedProfiles::lbra)) are stable, so rank numbers are
     /// reproducible run to run for identical profile sets.
     #[must_use = "ranking computes scores without storing them; use the returned list"]
     pub fn rank(&self) -> Vec<RankedEvent<E>> {
-        let mut ranked: Vec<RankedEvent<E>> = self
-            .universe()
-            .iter()
-            .map(|e| self.score_one(e, Polarity::Present))
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.event.cmp(&b.event))
-        });
-        ranked
+        self.predictors(false, true)
     }
 
     /// Ranks presence *and* absence predictors, best first.
@@ -215,19 +264,16 @@ impl<E: Ord + Clone> RankingModel<E> {
     /// score the same.
     #[must_use = "ranking computes scores without storing them; use the returned list"]
     pub fn rank_with_absence(&self) -> Vec<RankedEvent<E>> {
-        let mut ranked: Vec<RankedEvent<E>> = Vec::new();
-        for e in self.universe().iter() {
-            ranked.push(self.score_one(e, Polarity::Present));
-            ranked.push(self.score_one(e, Polarity::Absent));
-        }
-        ranked.sort_by(|a, b| {
-            b.score.total_cmp(&a.score).then_with(|| {
-                a.event
-                    .cmp(&b.event)
-                    .then_with(|| a.polarity.cmp(&b.polarity))
-            })
-        });
-        ranked
+        self.predictors(true, true)
+    }
+
+    /// The ranking of [`rank`](Self::rank) (or, with `absence`,
+    /// [`rank_with_absence`](Self::rank_with_absence)) with empty witness
+    /// lists — the cheap form a live consumer re-reads after every
+    /// profile.
+    #[must_use = "scoring computes a fresh ranking; use the returned list"]
+    pub fn scores(&self, absence: bool) -> Vec<RankedEvent<E>> {
+        self.predictors(absence, false)
     }
 
     /// 1-based rank of the first predictor satisfying `pred` in the given
@@ -250,9 +296,166 @@ impl<E: Ord + Clone> Default for RankingModel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stm_machine::rng::SplitMix64;
 
     fn set(items: &[&str]) -> BTreeSet<String> {
         items.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The naive model the incremental one replaced: every profile keeps
+    /// its event set, and each predictor rescans all of them with its own
+    /// copy of the float expressions — an independent oracle for the
+    /// counts, the witness lists and the score bits.
+    #[derive(Default)]
+    struct Reference {
+        failures: Vec<(String, BTreeSet<u8>)>,
+        successes: Vec<(String, BTreeSet<u8>)>,
+    }
+
+    impl Reference {
+        fn score_one(&self, event: &u8, polarity: Polarity) -> RankedEvent<u8> {
+            let matches = |p: &&(String, BTreeSet<u8>)| match polarity {
+                Polarity::Present => p.1.contains(event),
+                Polarity::Absent => !p.1.contains(event),
+            };
+            let failure_witnesses: Vec<String> = self
+                .failures
+                .iter()
+                .filter(matches)
+                .map(|p| p.0.clone())
+                .collect();
+            let success_witnesses: Vec<String> = self
+                .successes
+                .iter()
+                .filter(matches)
+                .map(|p| p.0.clone())
+                .collect();
+            let f = failure_witnesses.len();
+            let s = success_witnesses.len();
+            let total_f = self.failures.len();
+            let precision = if f + s > 0 {
+                f as f64 / (f + s) as f64
+            } else {
+                0.0
+            };
+            let recall = if total_f > 0 {
+                f as f64 / total_f as f64
+            } else {
+                0.0
+            };
+            let score = if precision + recall > 0.0 {
+                2.0 * precision * recall / (precision + recall)
+            } else {
+                0.0
+            };
+            RankedEvent {
+                event: *event,
+                polarity,
+                precision,
+                recall,
+                score,
+                failure_matches: f,
+                success_matches: s,
+                failure_witnesses,
+                success_witnesses,
+            }
+        }
+
+        fn rank(&self, absence: bool) -> Vec<RankedEvent<u8>> {
+            let universe: BTreeSet<u8> = self
+                .failures
+                .iter()
+                .chain(&self.successes)
+                .flat_map(|p| p.1.iter().copied())
+                .collect();
+            let mut ranked = Vec::new();
+            for e in &universe {
+                ranked.push(self.score_one(e, Polarity::Present));
+                if absence {
+                    ranked.push(self.score_one(e, Polarity::Absent));
+                }
+            }
+            ranked.sort_by(|a, b| {
+                b.score.total_cmp(&a.score).then_with(|| {
+                    a.event
+                        .cmp(&b.event)
+                        .then_with(|| a.polarity.cmp(&b.polarity))
+                })
+            });
+            ranked
+        }
+    }
+
+    fn float_bits(ranked: &[RankedEvent<u8>]) -> Vec<[u64; 3]> {
+        ranked
+            .iter()
+            .map(|r| [r.precision.to_bits(), r.recall.to_bits(), r.score.to_bits()])
+            .collect()
+    }
+
+    fn strip(mut ranked: Vec<RankedEvent<u8>>) -> Vec<RankedEvent<u8>> {
+        for r in &mut ranked {
+            r.failure_witnesses.clear();
+            r.success_witnesses.clear();
+        }
+        ranked
+    }
+
+    #[test]
+    fn incremental_model_matches_the_naive_scan_at_every_prefix() {
+        // Stream shapes: mixed classes, success-only and failure-only;
+        // seed 0 of each shape is the empty stream.
+        for shape in 0..3u64 {
+            for seed in 0..40u64 {
+                let mut rng = SplitMix64::new(seed * 3 + shape);
+                let len = if seed == 0 { 0 } else { rng.next_below(24) };
+                let universe = 1 + rng.next_below(10);
+                let named = rng.next_below(2) == 0;
+                let mut model = RankingModel::new();
+                let mut reference = Reference::default();
+                for step in 0..=len {
+                    for absence in [false, true] {
+                        let expected = reference.rank(absence);
+                        let ranked = if absence {
+                            model.rank_with_absence()
+                        } else {
+                            model.rank()
+                        };
+                        let at = format!("shape {shape} seed {seed} step {step} absence {absence}");
+                        assert_eq!(ranked, expected, "{at}");
+                        assert_eq!(float_bits(&ranked), float_bits(&expected), "{at}");
+                        let scores = model.scores(absence);
+                        assert_eq!(float_bits(&scores), float_bits(&ranked), "{at}");
+                        assert_eq!(scores, strip(ranked), "{at}");
+                    }
+                    if step == len {
+                        break;
+                    }
+                    let is_failure = match shape {
+                        0 => rng.next_below(2) == 0,
+                        1 => false,
+                        _ => true,
+                    };
+                    let events: BTreeSet<u8> = (0..rng.next_below(6))
+                        .map(|_| rng.next_below(universe) as u8)
+                        .collect();
+                    let class = if is_failure {
+                        &mut reference.failures
+                    } else {
+                        &mut reference.successes
+                    };
+                    if named {
+                        let id = format!("w{step}");
+                        class.push((id.clone(), events.clone()));
+                        model.add_profile_named(is_failure, id, events);
+                    } else {
+                        let prefix = if is_failure { "F" } else { "S" };
+                        class.push((format!("{prefix}#{}", class.len()), events.clone()));
+                        model.add_profile(is_failure, events);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use crate::dossier::mesi_transition;
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use stm_core::converge::{LiveRanking, ScoredPredictor, SnapshotIngest};
+use stm_core::converge::{LiveRanking, SnapshotIngest};
 use stm_core::profile::{
     decode_lbr, decode_lcr, BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry,
 };
@@ -159,55 +159,6 @@ pub struct CausalChain {
     pub links: Vec<ChainLink>,
 }
 
-/// Per-event support statistics, source-agnostic: built from either the
-/// batch [`RankedEvent`]s or the live [`ScoredPredictor`]s.
-#[derive(Debug, Clone, Copy)]
-struct Support {
-    precision: f64,
-    recall: f64,
-    score: f64,
-    failure_matches: usize,
-    success_matches: usize,
-}
-
-/// A predictor stat in ranking order — what the reconstructor needs from
-/// either ranking representation.
-struct PredictorStat<E> {
-    event: E,
-    polarity: Polarity,
-    support: Support,
-}
-
-impl<E: Clone> PredictorStat<E> {
-    fn from_ranked(r: &RankedEvent<E>) -> Self {
-        PredictorStat {
-            event: r.event.clone(),
-            polarity: r.polarity,
-            support: Support {
-                precision: r.precision,
-                recall: r.recall,
-                score: r.score,
-                failure_matches: r.failure_matches,
-                success_matches: r.success_matches,
-            },
-        }
-    }
-
-    fn from_scored(s: &ScoredPredictor<E>) -> Self {
-        PredictorStat {
-            event: s.event.clone(),
-            polarity: s.polarity,
-            support: Support {
-                precision: s.precision,
-                recall: s.recall,
-                score: s.score,
-                failure_matches: s.failure_matches,
-                success_matches: s.success_matches,
-            },
-        }
-    }
-}
-
 /// One decoded occurrence in a failing trace: 1-based ring position, the
 /// source-level event, and the mechanism string for that record.
 type TraceEntry<E> = (usize, E, String);
@@ -290,13 +241,11 @@ impl CausalChain {
         failures: usize,
         successes: usize,
     ) -> Option<CausalChain> {
-        let stats: Vec<PredictorStat<BranchOutcome>> =
-            ranked.iter().map(PredictorStat::from_ranked).collect();
         let traces: Vec<(String, Vec<TraceEntry<BranchOutcome>>)> = traces
             .iter()
             .map(|(w, entries)| (w.clone(), lbr_trace(entries)))
             .collect();
-        reconstruct(ChainKind::Lbr, &stats, &traces, failures, successes, |e| {
+        reconstruct(ChainKind::Lbr, ranked, &traces, failures, successes, |e| {
             branch_label(program, e)
         })
     }
@@ -311,13 +260,11 @@ impl CausalChain {
         failures: usize,
         successes: usize,
     ) -> Option<CausalChain> {
-        let stats: Vec<PredictorStat<CoherenceEvent>> =
-            ranked.iter().map(PredictorStat::from_ranked).collect();
         let traces: Vec<(String, Vec<TraceEntry<CoherenceEvent>>)> = traces
             .iter()
             .map(|(w, entries)| (w.clone(), lcr_trace(entries)))
             .collect();
-        reconstruct(ChainKind::Lcr, &stats, &traces, failures, successes, |e| {
+        reconstruct(ChainKind::Lcr, ranked, &traces, failures, successes, |e| {
             coherence_label(program, e)
         })
     }
@@ -334,8 +281,6 @@ impl CausalChain {
         let successes = ingest.successes();
         match ingest.live_ranking()? {
             LiveRanking::Lbr(scored) => {
-                let stats: Vec<PredictorStat<BranchOutcome>> =
-                    scored.iter().map(PredictorStat::from_scored).collect();
                 let traces: Vec<(String, Vec<TraceEntry<BranchOutcome>>)> = ingest
                     .chain_traces()
                     .iter()
@@ -346,13 +291,11 @@ impl CausalChain {
                         ProfileData::Lcr(_) => None,
                     })
                     .collect();
-                reconstruct(ChainKind::Lbr, &stats, &traces, failures, successes, |e| {
+                reconstruct(ChainKind::Lbr, scored, &traces, failures, successes, |e| {
                     branch_label(None, e)
                 })
             }
             LiveRanking::Lcr(scored) => {
-                let stats: Vec<PredictorStat<CoherenceEvent>> =
-                    scored.iter().map(PredictorStat::from_scored).collect();
                 let traces: Vec<(String, Vec<TraceEntry<CoherenceEvent>>)> = ingest
                     .chain_traces()
                     .iter()
@@ -363,7 +306,7 @@ impl CausalChain {
                         ProfileData::Lbr(_) => None,
                     })
                     .collect();
-                reconstruct(ChainKind::Lcr, &stats, &traces, failures, successes, |e| {
+                reconstruct(ChainKind::Lcr, scored, &traces, failures, successes, |e| {
                     coherence_label(None, e)
                 })
             }
@@ -515,10 +458,12 @@ struct Candidate {
 }
 
 /// The shared reconstruction walk over decoded, mechanism-annotated
-/// traces. `stats` must be in ranking order (best predictor first).
+/// traces. `stats` must be in ranking order (best predictor first); its
+/// witness lists are not read, so a live ranking serves as well as a
+/// batch one.
 fn reconstruct<E: Ord + Clone + std::fmt::Display>(
     kind: ChainKind,
-    stats: &[PredictorStat<E>],
+    stats: &[RankedEvent<E>],
     traces: &[(String, Vec<TraceEntry<E>>)],
     failures: usize,
     successes: usize,
@@ -580,24 +525,26 @@ fn reconstruct<E: Ord + Clone + std::fmt::Display>(
         return None;
     }
 
-    let support_of = |event: &E| -> Support {
+    // An event no predictor scores has zero support.
+    let support_of = |event: &E| {
         stats
             .iter()
             .find(|s| s.polarity == Polarity::Present && s.event == *event)
-            .map(|s| s.support)
-            .unwrap_or(Support {
-                precision: 0.0,
-                recall: 0.0,
-                score: 0.0,
-                failure_matches: 0,
-                success_matches: 0,
+            .map_or((0.0, 0.0, 0.0, 0, 0), |s| {
+                (
+                    s.precision,
+                    s.recall,
+                    s.score,
+                    s.failure_matches,
+                    s.success_matches,
+                )
             })
     };
 
     let mut links: Vec<ChainLink> = candidates
         .into_iter()
         .map(|(event, c)| {
-            let s = support_of(&event);
+            let (precision, recall, support, failure_matches, success_matches) = support_of(&event);
             ChainLink {
                 role: LinkRole::Propagation,
                 event: format!("{event}"),
@@ -605,11 +552,11 @@ fn reconstruct<E: Ord + Clone + std::fmt::Display>(
                 mechanism: c.mechanism,
                 mean_position: c.position_sum as f64 / c.marks.len() as f64,
                 witnesses: c.marks,
-                precision: s.precision,
-                recall: s.recall,
-                support: s.score,
-                failure_matches: s.failure_matches,
-                success_matches: s.success_matches,
+                precision,
+                recall,
+                support,
+                failure_matches,
+                success_matches,
             }
         })
         .collect();
