@@ -9,10 +9,14 @@
 //! * **Sustained** — ≥1000 seeded endpoints push snapshots at four
 //!   shards (`sort-0/1`, `apache4-0/1`) through queues deep enough to
 //!   never shed. The wall-clock headline (`endpoints_per_sec`) is
-//!   machine-dependent and stays ungated; the per-shard witness counts
-//!   to the early-stop verdict are fully deterministic — each shard is
-//!   one FIFO consumer, so ingest order equals the seeded submission
-//!   order — and gate against the baseline.
+//!   machine-dependent and stays informational; the top-level
+//!   `endpoints_per_sec_floor` (lower-is-worse under `bench_diff`'s
+//!   `_floor` convention) is gated against a deliberately conservative
+//!   baseline, so an ingest hot path that collapses — e.g. JSON work
+//!   creeping back onto the shard workers — fails CI. The per-shard
+//!   witness counts to the early-stop verdict are fully deterministic —
+//!   each shard is one FIFO consumer, so ingest order equals the seeded
+//!   submission order — and gate against the baseline exactly.
 //! * **Overload** — every shard is paused (its worker held off) and
 //!   fed `capacity + overflow` snapshots, so exactly `overflow` must
 //!   shed — half the shards under drop-oldest, half under reject-new —
@@ -284,6 +288,7 @@ fn main() {
 
     metrics.top_level("endpoints", Json::from(ENDPOINTS));
     metrics.top_level("endpoints_per_sec", Json::from(eps));
+    metrics.top_level("endpoints_per_sec_floor", Json::from(eps.round()));
     metrics.top_level("sustained_ms", Json::from(elapsed.as_secs_f64() * 1e3));
     match metrics.finish() {
         Ok(path) => println!("wrote {path}"),

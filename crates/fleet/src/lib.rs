@@ -20,6 +20,12 @@
 //! * **Observability** — per-shard queue depth, ingest and witness
 //!   counts are published as labeled gauges, and a `"fleet"` status
 //!   document (shard → live verdict) feeds `/diagnosis` and `stm_watch`.
+//!   The document is rendered when it is read, not after every ingest:
+//!   a worker's hot path builds no JSON.
+//! * **Failure** — a panicking shard worker marks its shard dead:
+//!   [`drain`](FleetDaemon::drain) stops waiting on it, submits return
+//!   [`SubmitOutcome::ShardDead`] and [`finish`](FleetDaemon::finish)
+//!   reports its verdict as `panicked`.
 //!
 //! ## Determinism
 //!
@@ -39,13 +45,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread;
 
 use stm_core::converge::{ConvergenceReport, SnapshotIngest, StabilityPolicy};
 use stm_core::diagnose::Quotas;
 use stm_core::runner::FailureSpec;
-use stm_forensics::chain::CausalChain;
+use stm_forensics::chain::{CausalChain, LiveChain};
 use stm_machine::layout::Layout;
 use stm_machine::report::RunReport;
 use stm_telemetry::json::Json;
@@ -163,16 +169,19 @@ pub enum SubmitOutcome {
     UnknownShard,
     /// The daemon is shutting down; nothing was enqueued.
     Closed,
+    /// The shard's worker panicked; nothing was enqueued.
+    ShardDead,
 }
 
 /// Per-shard final accounting returned by [`FleetDaemon::finish`].
 #[derive(Debug)]
 pub struct ShardReport {
-    /// Final verdict wire form: `converged` / `stable` / `stalled`, or
-    /// `warming` when the shard never ingested a snapshot.
+    /// Final verdict wire form: `converged` / `stable` / `stalled`,
+    /// `warming` when the shard never ingested a snapshot, or `panicked`
+    /// when its worker died.
     pub verdict: String,
     /// The full convergence report (final ranking, evidence,
-    /// trajectories); `None` for a warming shard.
+    /// trajectories); `None` for a warming or panicked shard.
     pub report: Option<ConvergenceReport>,
     /// Snapshots accepted into the queue (enqueued, including ones that
     /// later shed a predecessor).
@@ -230,13 +239,14 @@ impl ShardReport {
 /// deterministic way to force overload in tests); `closed` tells the
 /// worker to drain and exit; `busy` marks a popped snapshot still being
 /// processed (so [`FleetDaemon::drain`] does not report empty-but-busy
-/// as drained).
+/// as drained); `dead` marks a worker that panicked.
 #[derive(Debug)]
 struct Queue {
     items: VecDeque<Snapshot>,
     paused: bool,
     closed: bool,
     busy: bool,
+    dead: bool,
 }
 
 /// Mutable diagnosis state of one shard, owned by its worker.
@@ -248,12 +258,12 @@ struct ShardState {
     skipped: u64,
     after_stop: u64,
     done: bool,
-    /// JSON form of the current [`CausalChain`], recomputed after every
-    /// ingested snapshot; `None` until one forms.
-    chain: Option<Json>,
-    /// Fingerprint of `chain` — gates the `diagnosis.chain` event to
-    /// actual form/change transitions.
-    chain_fp: Option<u64>,
+    /// Decode cache of the retained failing traces.
+    live: LiveChain,
+    /// The current [`CausalChain`], rebuilt after every ingested
+    /// snapshot; `None` until one forms. Turned into JSON only when the
+    /// status document is read and in [`FleetDaemon::finish`].
+    chain: Option<CausalChain>,
 }
 
 #[derive(Debug)]
@@ -307,11 +317,16 @@ impl Shard {
 
     /// This shard's entry in the `"fleet"` status document.
     fn status_entry(&self) -> Json {
-        let depth = self.queue_lock().items.len();
+        let (depth, dead) = {
+            let q = self.queue_lock();
+            (q.items.len(), q.dead)
+        };
         let st = self.state_lock();
         let (verdict, witnesses, failures, successes, churn, streak) = match &st.ingest {
             Some(i) => (
-                if st.done && !i.should_stop() {
+                if dead {
+                    "panicked"
+                } else if st.done && !i.should_stop() {
                     // Quota-terminated without the policy firing: the
                     // final Stable/Stalled call belongs to finish();
                     // live, the shard is simply no longer collecting.
@@ -334,7 +349,10 @@ impl Shard {
             ("successes", Json::from(successes)),
             ("rank_churn", Json::from(churn)),
             ("top1_stable_for", Json::from(streak)),
-            ("chain", st.chain.clone().unwrap_or(Json::Null)),
+            (
+                "chain",
+                st.chain.as_ref().map_or(Json::Null, CausalChain::to_json),
+            ),
             ("queue_depth", Json::from(depth)),
             (
                 "accepted",
@@ -345,26 +363,18 @@ impl Shard {
     }
 }
 
-/// Publishes the `"fleet"` status document covering every shard.
-fn publish_fleet_doc(shards: &BTreeMap<String, Arc<Shard>>) {
-    if !telemetry::enabled() {
-        return;
+/// The live `"fleet"` status document covering every shard.
+fn fleet_doc<'a>(shards: impl IntoIterator<Item = &'a Arc<Shard>>) -> Json {
+    let mut entries = BTreeMap::new();
+    let mut shed_total = 0u64;
+    for s in shards {
+        entries.insert(s.name.clone(), s.status_entry());
+        shed_total += s.shed.load(Ordering::Relaxed);
     }
-    let entries: Vec<(String, Json)> = shards
-        .iter()
-        .map(|(name, s)| (name.clone(), s.status_entry()))
-        .collect();
-    let shed_total: u64 = shards
-        .values()
-        .map(|s| s.shed.load(Ordering::Relaxed))
-        .sum();
-    telemetry::status::publish(
-        "fleet",
-        Json::obj([
-            ("shards", Json::Obj(entries.into_iter().collect())),
-            ("shed_total", Json::from(shed_total)),
-        ]),
-    );
+    Json::obj([
+        ("shards", Json::Obj(entries)),
+        ("shed_total", Json::from(shed_total)),
+    ])
 }
 
 /// The long-lived sharded ingest daemon.
@@ -418,6 +428,7 @@ impl FleetDaemon {
                 paused: false,
                 closed: false,
                 busy: false,
+                dead: false,
             }),
             cond: Condvar::new(),
             state: Mutex::new(ShardState {
@@ -427,8 +438,8 @@ impl FleetDaemon {
                 skipped: 0,
                 after_stop: 0,
                 done: false,
+                live: LiveChain::default(),
                 chain: None,
-                chain_fp: None,
             }),
             accepted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -441,19 +452,29 @@ impl FleetDaemon {
         self.shards.keys().cloned().collect()
     }
 
-    /// Spawns one worker thread per shard and publishes the initial
-    /// (all-warming) `"fleet"` status document. Idempotent.
+    /// Spawns one worker thread per shard and registers the `"fleet"`
+    /// status renderer, which builds the document from the shards' live
+    /// state on every read while telemetry is enabled. Idempotent.
     pub fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        publish_fleet_doc(&self.shards);
+        let shards: Vec<Weak<Shard>> = self.shards.values().map(Arc::downgrade).collect();
+        telemetry::status::register("fleet", move || {
+            if !telemetry::enabled() {
+                return None;
+            }
+            let live = shards
+                .iter()
+                .map(Weak::upgrade)
+                .collect::<Option<Vec<_>>>()?;
+            Some(fleet_doc(&live))
+        });
         for shard in self.shards.values() {
             let shard = Arc::clone(shard);
-            let all = self.shards.clone();
             self.workers.push(thread::spawn(move || {
-                worker_loop(&shard, &all);
+                worker_loop(&shard);
                 telemetry::flush_thread();
             }));
         }
@@ -471,6 +492,9 @@ impl FleetDaemon {
             let mut q = shard.queue_lock();
             if q.closed {
                 return SubmitOutcome::Closed;
+            }
+            if q.dead {
+                return SubmitOutcome::ShardDead;
             }
             if q.items.len() >= shard.config.queue_capacity {
                 match shard.config.shed {
@@ -544,11 +568,11 @@ impl FleetDaemon {
 
     /// Blocks until every *unpaused* shard's queue is empty and its
     /// worker idle. A paused shard is skipped — its queue is
-    /// intentionally backed up.
+    /// intentionally backed up — and so is a dead one.
     pub fn drain(&self) {
         for shard in self.shards.values() {
             let mut q = shard.queue_lock();
-            while !q.paused && (!q.items.is_empty() || q.busy) {
+            while !q.paused && !q.dead && (!q.items.is_empty() || q.busy) {
                 q = shard.cond.wait(q).unwrap_or_else(|p| p.into_inner());
             }
         }
@@ -557,7 +581,8 @@ impl FleetDaemon {
     /// Closes every queue (un-pausing so backlogs drain), joins all
     /// workers, and returns per-shard reports. The final `"fleet"`
     /// status document (terminal verdicts) is published before
-    /// returning.
+    /// returning; until then readers see a fixed copy of the drained
+    /// live document, never a half-finished daemon.
     pub fn finish(mut self) -> BTreeMap<String, ShardReport> {
         for shard in self.shards.values() {
             let mut q = shard.queue_lock();
@@ -566,40 +591,46 @@ impl FleetDaemon {
             shard.cond.notify_all();
         }
         for w in self.workers.drain(..) {
+            // A panicked worker already marked its shard dead.
             let _ = w.join();
         }
+        if telemetry::enabled() {
+            telemetry::status::publish("fleet", fleet_doc(self.shards.values()));
+        }
         let mut reports = BTreeMap::new();
-        let mut entries: Vec<(String, Json)> = Vec::new();
-        let mut shed_total = 0u64;
         for (name, shard) in &self.shards {
+            let dead = shard.queue_lock().dead;
             let mut st = shard.state_lock();
-            let ingest = st.ingest.take().expect("finish called once");
-            let report = ingest.finish();
-            let verdict = report
-                .as_ref()
-                .map(|r| r.verdict.as_str())
-                .unwrap_or("warming")
-                .to_string();
-            let shed = shard.shed.load(Ordering::Relaxed);
-            shed_total += shed;
+            let report = st
+                .ingest
+                .take()
+                .filter(|_| !dead)
+                .and_then(SnapshotIngest::finish);
+            let verdict = if dead {
+                "panicked"
+            } else {
+                report.as_ref().map_or("warming", |r| r.verdict.as_str())
+            }
+            .to_string();
             let shard_report = ShardReport {
-                verdict: verdict.clone(),
+                verdict,
                 report,
                 accepted: shard.accepted.load(Ordering::Relaxed),
-                shed,
+                shed: shard.shed.load(Ordering::Relaxed),
                 ingested: st.ingested,
                 skipped: st.skipped,
                 after_stop: st.after_stop,
-                chain: st.chain.take(),
+                chain: st.chain.as_ref().map(CausalChain::to_json),
             };
-            entries.push((name.clone(), shard_report.to_json()));
             reports.insert(name.clone(), shard_report);
         }
         if telemetry::enabled() {
+            let entries = reports.iter().map(|(n, r)| (n.clone(), r.to_json()));
+            let shed_total: u64 = reports.values().map(|r| r.shed).sum();
             telemetry::status::publish(
                 "fleet",
                 Json::obj([
-                    ("shards", Json::Obj(entries.into_iter().collect())),
+                    ("shards", Json::Obj(entries.collect())),
                     ("shed_total", Json::from(shed_total)),
                 ]),
             );
@@ -608,9 +639,44 @@ impl FleetDaemon {
     }
 }
 
-/// One shard's worker: pop in FIFO order, ingest, publish, repeat until
-/// the queue is closed and empty.
-fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
+/// Marks its shard dead when the worker unwinds, so [`FleetDaemon::drain`]
+/// and [`FleetDaemon::finish`] never wait on a worker that is gone.
+struct PanicGuard<'a>(&'a Shard);
+
+impl Drop for PanicGuard<'_> {
+    fn drop(&mut self) {
+        if !thread::panicking() {
+            return;
+        }
+        let shard = self.0;
+        let dropped = {
+            let mut q = shard.queue_lock();
+            q.busy = false;
+            q.dead = true;
+            std::mem::take(&mut q.items).len()
+        };
+        shard.cond.notify_all();
+        counter!("fleet.worker_panics").incr();
+        log::error(
+            "fleet",
+            "worker.panic",
+            vec![
+                ("shard", shard.name.clone()),
+                ("dropped", dropped.to_string()),
+            ],
+        );
+    }
+}
+
+/// A snapshot with this witness id makes the worker panic mid-ingest
+/// (with the shard state locked) — the test hook for worker death.
+#[cfg(test)]
+const PANIC_WITNESS: &str = "test:panic";
+
+/// One shard's worker: pop in FIFO order, ingest, update the shard's
+/// gauges, repeat until the queue is closed and empty.
+fn worker_loop(shard: &Shard) {
+    let _guard = PanicGuard(shard);
     loop {
         let snapshot = {
             let mut q = shard.queue_lock();
@@ -636,27 +702,27 @@ fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
             break;
         };
         {
-            let mut st = shard.state_lock();
+            let mut guard = shard.state_lock();
+            let st = &mut *guard;
             if st.done {
                 st.after_stop += 1;
             } else {
                 st.attempts += 1;
+                #[cfg(test)]
+                if snapshot.witness == PANIC_WITNESS {
+                    panic!("injected worker panic");
+                }
                 let ingest = st.ingest.as_mut().expect("worker runs before finish");
                 let ok = ingest.observe(snapshot.is_failure, &snapshot.witness, &snapshot.report);
                 let quotas = shard.config.quotas;
                 let quota_met = ingest.failures() >= quotas.failure_profiles
                     && ingest.successes() >= quotas.success_profiles;
                 let stop = ingest.should_stop();
-                let chain = if ok {
-                    CausalChain::from_ingest(ingest)
-                } else {
-                    None
-                };
                 if ok {
                     st.ingested += 1;
-                    let fp = chain.as_ref().map(CausalChain::fingerprint);
-                    if fp != st.chain_fp {
-                        if let Some(c) = &chain {
+                    let chain = st.live.rebuild(ingest);
+                    if let Some(c) = &chain {
+                        if !st.chain.as_ref().is_some_and(|old| old.same_storyline(c)) {
                             log::info(
                                 "fleet",
                                 "diagnosis.chain",
@@ -669,9 +735,8 @@ fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
                                 ],
                             );
                         }
-                        st.chain = chain.as_ref().map(CausalChain::to_json);
-                        st.chain_fp = fp;
                     }
+                    st.chain = chain;
                 } else {
                     st.skipped += 1;
                 }
@@ -687,7 +752,6 @@ fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
         };
         shard.cond.notify_all();
         shard.publish_gauges(depth);
-        publish_fleet_doc(all);
     }
 }
 
@@ -897,6 +961,130 @@ mod tests {
         let reports = fleet.finish();
         assert_eq!(reports["s"].ingested, capacity as u64);
         assert_eq!(reports["s"].shed, rejected as u64);
+    }
+
+    /// Telemetry is process-global; tests that enable it and read its
+    /// events or counters serialize on this lock.
+    fn telemetry_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        telemetry::set_enabled(true);
+        log::set_stderr_level(None);
+        guard
+    }
+
+    fn shard_events(shard: &str, event: &str) -> Vec<log::Event> {
+        log::recent_events(log::EVENT_CAPACITY)
+            .into_iter()
+            .filter(|e| {
+                e.component == "fleet"
+                    && e.event == event
+                    && e.fields.iter().any(|(k, v)| *k == "shard" && v == shard)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn diagnosis_chain_fires_only_when_the_storyline_changes() {
+        let (profiles, _site) = collected();
+        let all = snapshots(&profiles, "storyline");
+        let _g = telemetry_lock();
+        let mut fleet = FleetDaemon::new();
+        fleet.add_shard(
+            "storyline",
+            profiles.runner().machine().layout().clone(),
+            profiles.spec().clone(),
+            ShardConfig::default().policy(StabilityPolicy::never()),
+        );
+        fleet.start();
+        for s in &all {
+            assert_eq!(fleet.submit(s.clone()), SubmitOutcome::Enqueued);
+        }
+        let reports = fleet.finish();
+        let events = shard_events("storyline", "diagnosis.chain");
+        telemetry::set_enabled(false);
+        let ingested = reports["storyline"].ingested as usize;
+        assert_eq!(ingested, all.len());
+        assert!(!events.is_empty(), "the chain formed");
+        assert!(
+            events.len() < ingested,
+            "{} events for {ingested} snapshots",
+            events.len()
+        );
+        let storyline = |e: &log::Event| {
+            e.fields
+                .iter()
+                .filter(|(k, _)| *k != "shard")
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        for pair in events.windows(2) {
+            assert_ne!(
+                storyline(&pair[0]),
+                storyline(&pair[1]),
+                "repeated storyline"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_kills_its_shard_without_hanging_the_daemon() {
+        let (profiles, _site) = collected();
+        let all = snapshots(&profiles, "doomed");
+        let total = all.len() as u64;
+        let _g = telemetry_lock();
+        let panics_before = telemetry::metrics_snapshot()
+            .counter("fleet.worker_panics")
+            .unwrap_or(0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let layout = profiles.runner().machine().layout().clone();
+        let spec = profiles.spec().clone();
+        // Watchdog: a hang fails the test instead of wedging the run.
+        thread::spawn(move || {
+            let mut fleet = FleetDaemon::new();
+            for name in ["doomed", "healthy"] {
+                fleet.add_shard(
+                    name,
+                    layout.clone(),
+                    spec.clone(),
+                    ShardConfig::default().policy(StabilityPolicy::never()),
+                );
+            }
+            fleet.start();
+            let mut poison = all[0].clone();
+            poison.witness = PANIC_WITNESS.to_string();
+            assert_eq!(fleet.submit(all[1].clone()), SubmitOutcome::Enqueued);
+            assert_eq!(fleet.submit(poison), SubmitOutcome::Enqueued);
+            for s in &all {
+                let healthy = Snapshot {
+                    shard: "healthy".to_string(),
+                    ..s.clone()
+                };
+                assert_eq!(fleet.submit(healthy), SubmitOutcome::Enqueued);
+            }
+            fleet.drain();
+            let late = fleet.submit(all[2].clone());
+            let _ = tx.send((late, fleet.finish()));
+        });
+        let (late, reports) = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("drain() and finish() return after a worker panic");
+        assert_eq!(late, SubmitOutcome::ShardDead);
+        let doomed = &reports["doomed"];
+        assert_eq!(doomed.verdict, "panicked");
+        assert!(doomed.report.is_none());
+        assert_eq!(doomed.ingested, 1, "the snapshot before the panic ingested");
+        let healthy = &reports["healthy"];
+        assert_eq!(healthy.ingested, total);
+        assert!(healthy.report.is_some());
+        let panics = telemetry::metrics_snapshot()
+            .counter("fleet.worker_panics")
+            .unwrap_or(0);
+        let events = shard_events("doomed", "worker.panic");
+        telemetry::set_enabled(false);
+        assert_eq!(panics - panics_before, 1);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].level, log::Level::Error);
     }
 
     #[test]

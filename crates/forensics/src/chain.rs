@@ -269,48 +269,10 @@ impl CausalChain {
         })
     }
 
-    /// Reconstructs the *live* chain of a streaming ingest (the fleet
-    /// path): anchors on the current incremental top predictor and walks
-    /// the ingest's retained failing traces. Labels are canonical (the
-    /// daemon holds a [`Layout`](stm_machine::layout::Layout), not a
-    /// [`Program`]). `None` before the first failing trace is retained
-    /// or while no retained trace contains the anchor.
+    /// Reconstructs the *live* chain of a streaming ingest from scratch;
+    /// [`LiveChain::rebuild`] with an empty cache.
     pub fn from_ingest(ingest: &SnapshotIngest) -> Option<CausalChain> {
-        let layout = ingest.layout();
-        let failures = ingest.failures();
-        let successes = ingest.successes();
-        match ingest.live_ranking()? {
-            LiveRanking::Lbr(scored) => {
-                let traces: Vec<(String, Vec<TraceEntry<BranchOutcome>>)> = ingest
-                    .chain_traces()
-                    .iter()
-                    .filter_map(|(w, data)| match data {
-                        ProfileData::Lbr(records) => {
-                            Some((w.clone(), lbr_trace(&decode_lbr(layout, records))))
-                        }
-                        ProfileData::Lcr(_) => None,
-                    })
-                    .collect();
-                reconstruct(ChainKind::Lbr, scored, &traces, failures, successes, |e| {
-                    branch_label(None, e)
-                })
-            }
-            LiveRanking::Lcr(scored) => {
-                let traces: Vec<(String, Vec<TraceEntry<CoherenceEvent>>)> = ingest
-                    .chain_traces()
-                    .iter()
-                    .filter_map(|(w, data)| match data {
-                        ProfileData::Lcr(records) => {
-                            Some((w.clone(), lcr_trace(&decode_lcr(layout, records))))
-                        }
-                        ProfileData::Lbr(_) => None,
-                    })
-                    .collect();
-                reconstruct(ChainKind::Lcr, scored, &traces, failures, successes, |e| {
-                    coherence_label(None, e)
-                })
-            }
-        }
+        LiveChain::default().rebuild(ingest)
     }
 
     /// Attaches the failing run's symptom (its `FailureKind` display) to
@@ -335,8 +297,24 @@ impl CausalChain {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// A stable fingerprint of the chain's observable content, used to
-    /// fire `diagnosis.chain` events only when a chain forms or changes.
+    /// Whether two chains tell the same storyline: same ring, top
+    /// predictor, anchor and ordered link events. Support scores,
+    /// population counts and witness marks move with every ingested
+    /// snapshot and are not part of it — this is the `diagnosis.chain`
+    /// event gate, which fires only when a chain forms or changes.
+    pub fn same_storyline(&self, other: &CausalChain) -> bool {
+        self.kind == other.kind
+            && self.top_predictor == other.top_predictor
+            && self.anchor == other.anchor
+            && self.links.len() == other.links.len()
+            && self
+                .links
+                .iter()
+                .zip(&other.links)
+                .all(|(a, b)| a.event == b.event)
+    }
+
+    /// A stable fingerprint of the chain's observable content.
     /// Deterministic across processes (fixed-key hasher over the encoded
     /// JSON).
     pub fn fingerprint(&self) -> u64 {
@@ -446,6 +424,67 @@ impl CausalChain {
             let _ = writeln!(out, "(no links)");
         }
         out
+    }
+}
+
+/// The live causal chain of one streaming ingest, with its decode cache.
+///
+/// A [`SnapshotIngest`] retains its first [`CHAIN_TRACE_CAP`] failing
+/// ring snapshots verbatim and never changes them afterwards, so each
+/// one needs decoding (and its mechanism strings formatting) exactly
+/// once. [`LiveChain::rebuild`] decodes only the traces retained since
+/// the previous call, then reruns the backward walk over the cached
+/// traces against the ingest's current live ranking. Follow one ingest
+/// per `LiveChain`.
+///
+/// [`CHAIN_TRACE_CAP`]: stm_core::converge::CHAIN_TRACE_CAP
+#[derive(Debug, Default)]
+pub struct LiveChain {
+    /// How many of the ingest's retained traces are decoded below.
+    decoded: usize,
+    lbr: Vec<(String, Vec<TraceEntry<BranchOutcome>>)>,
+    lcr: Vec<(String, Vec<TraceEntry<CoherenceEvent>>)>,
+}
+
+impl LiveChain {
+    /// Reconstructs the live chain of `ingest`: anchors on the current
+    /// incremental top predictor and walks the retained failing traces.
+    /// Labels are canonical (the ingest holds a
+    /// [`Layout`](stm_machine::layout::Layout), not a [`Program`]).
+    /// `None` before the first failing trace is retained or while no
+    /// retained trace contains the anchor.
+    pub fn rebuild(&mut self, ingest: &SnapshotIngest) -> Option<CausalChain> {
+        let layout = ingest.layout();
+        for (w, data) in ingest.chain_traces().iter().skip(self.decoded) {
+            match data {
+                ProfileData::Lbr(records) => self
+                    .lbr
+                    .push((w.clone(), lbr_trace(&decode_lbr(layout, records)))),
+                ProfileData::Lcr(records) => self
+                    .lcr
+                    .push((w.clone(), lcr_trace(&decode_lcr(layout, records)))),
+            }
+        }
+        self.decoded = ingest.chain_traces().len();
+        let (failures, successes) = (ingest.failures(), ingest.successes());
+        match ingest.live_ranking()? {
+            LiveRanking::Lbr(scored) => reconstruct(
+                ChainKind::Lbr,
+                scored,
+                &self.lbr,
+                failures,
+                successes,
+                |e| branch_label(None, e),
+            ),
+            LiveRanking::Lcr(scored) => reconstruct(
+                ChainKind::Lcr,
+                scored,
+                &self.lcr,
+                failures,
+                successes,
+                |e| coherence_label(None, e),
+            ),
+        }
     }
 }
 
@@ -855,6 +894,35 @@ mod tests {
         assert_eq!(chain.fingerprint(), same.fingerprint());
         let different = CausalChain::from_lbra(None, &ranked, &traces[..1], 2, 2).unwrap();
         assert_ne!(chain.fingerprint(), different.fingerprint());
+    }
+
+    #[test]
+    fn storyline_ignores_evidence_but_tracks_links() {
+        let (ranked, traces) = demo_inputs();
+        let chain = CausalChain::from_lbra(None, &ranked, &traces, 2, 2).unwrap();
+        // One witness fewer and other population counts: new witness
+        // marks, positions and counts, same links in the same order.
+        let fewer = CausalChain::from_lbra(None, &ranked, &traces[..1], 3, 5).unwrap();
+        assert_ne!(chain.fingerprint(), fewer.fingerprint());
+        assert!(chain.same_storyline(&fewer));
+        // Rescored links alone do not change the storyline either.
+        let mut rescored = ranked.clone();
+        rescored[1].score = 0.7;
+        let rescored = CausalChain::from_lbra(None, &rescored, &traces, 2, 2).unwrap();
+        assert!(chain.same_storyline(&rescored));
+        // A new top predictor does, and so does a different link set.
+        let mut top = ranked.clone();
+        top.insert(
+            0,
+            RankedEvent {
+                polarity: Polarity::Absent,
+                ..ranked_bo(7, true, 1.0, 2, 0)
+            },
+        );
+        let top = CausalChain::from_lbra(None, &top, &traces, 2, 2).unwrap();
+        assert!(!chain.same_storyline(&top));
+        let w1_only = CausalChain::from_lbra(None, &ranked, &traces[1..], 2, 2).unwrap();
+        assert!(!chain.same_storyline(&w1_only));
     }
 
     #[test]

@@ -951,7 +951,7 @@ mod tests {
 
     /// Telemetry state is process-global; tests in this crate serialise on
     /// this lock so they can assert exact values.
-    fn lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn lock() -> MutexGuard<'static, ()> {
         static TEST_LOCK: Mutex<()> = Mutex::new(());
         let guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
