@@ -18,8 +18,13 @@
 //! * `thread_mismatch` — 0 when the `threads(1)` and
 //!   `default_threads()` chains are byte-identical JSON, 1 otherwise
 //!   (the determinism acceptance invariant).
+//!
+//! The `counters.*` telemetry deltas come from the `threads(1)` pass
+//! only: the witness seed scan and the `default_threads()` pass run
+//! [`untracked`], so the gate does not depend on the core count of the
+//! machine running it.
 
-use stm_bench::{json_rank, mark, MetricsEmitter};
+use stm_bench::{json_rank, mark, untracked, MetricsEmitter};
 use stm_core::diagnose::failure_profile;
 use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
 use stm_core::profile::{decode_lbr, decode_lcr};
@@ -46,7 +51,7 @@ fn main() {
         } else {
             lcra_runner(&b)
         };
-        let (failing, passing) = expand_workloads(&b, &runner);
+        let (failing, passing) = untracked(|| expand_workloads(&b, &runner));
         let collect = |threads: usize| -> CollectedProfiles {
             DiagnosisSession::from_runner(&runner)
                 .failure(b.truth.spec.clone())
@@ -63,7 +68,7 @@ fn main() {
         };
 
         let serial = chain_for(&b, &runner, &collect(1), lbr);
-        let parallel = chain_for(&b, &runner, &collect(default_threads()), lbr);
+        let parallel = untracked(|| chain_for(&b, &runner, &collect(default_threads()), lbr));
         let thread_mismatch = usize::from(
             serial.as_ref().map(|c| c.to_json().encode())
                 != parallel.as_ref().map(|c| c.to_json().encode()),

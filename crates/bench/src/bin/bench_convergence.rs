@@ -6,7 +6,12 @@
 //! For one sequential benchmark (sort, LBRA) and one concurrency
 //! benchmark (apache4, LCRA Conf2) the harness runs the same witness
 //! sets twice: once to full quota under `StabilityPolicy::never()`
-//! (monitor-only), once under the default early-stop policy. It then
+//! (monitor-only), once under the default early-stop policy. Both
+//! sessions collect at `threads(1)` and the witness seed scan runs
+//! [`untracked`]: results are thread-invariant (pinned in
+//! `tests/engine_determinism.rs`), but the gated `counters.*` would
+//! otherwise include the speculative overshoot of a parallel pool and
+//! depend on the core count of the machine running the gate. It then
 //! replays the full-quota witness runs through the public
 //! [`SnapshotIngest`] API to chart the rank of the ground-truth root
 //! cause after every ingested witness and to find the exact witness
@@ -25,11 +30,11 @@
 //! * `rank_full` / `rank_early` — 1-based rank of the root cause in
 //!   each session's final (batch-identical) ranking.
 
-use stm_bench::{json_rank, mark, MetricsEmitter};
+use stm_bench::{json_rank, mark, untracked, MetricsEmitter};
 use stm_core::converge::{FinalRanking, LiveRanking, SnapshotIngest, StabilityPolicy};
 use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
 use stm_core::ranking::RankingModel;
-use stm_suite::eval::{default_threads, expand_workloads, lbra_runner, lcra_runner};
+use stm_suite::eval::{expand_workloads, lbra_runner, lcra_runner};
 use stm_suite::Benchmark;
 use stm_telemetry::json::Json;
 
@@ -48,7 +53,7 @@ fn main() {
         } else {
             lcra_runner(&b)
         };
-        let (failing, passing) = expand_workloads(&b, &runner);
+        let (failing, passing) = untracked(|| expand_workloads(&b, &runner));
 
         let run = |policy: StabilityPolicy| -> CollectedProfiles {
             DiagnosisSession::from_runner(&runner)
@@ -60,7 +65,7 @@ fn main() {
                 } else {
                     ProfileKind::Lcr
                 })
-                .threads(default_threads())
+                .threads(1)
                 .converge(policy)
                 .collect()
                 .expect("witness-mode collection cannot fail")

@@ -41,6 +41,23 @@ pub fn json_rank(v: Option<usize>) -> stm_telemetry::json::Json {
     }
 }
 
+/// Runs `f` with telemetry collection off, then restores the previous
+/// setting (also when `f` panics) — for harness work (seed scans,
+/// thread-invariance passes) whose parallel overshoot depends on the core
+/// count and must stay out of the gated `counters.*` of a
+/// [`MetricsEmitter`] checkpoint.
+pub fn untracked<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            stm_telemetry::set_enabled(self.0);
+        }
+    }
+    let _restore = Restore(stm_telemetry::enabled());
+    stm_telemetry::set_enabled(false);
+    f()
+}
+
 /// Runs CBI on a benchmark (its default 1/100 sampling) with the given run
 /// budgets and returns the rank of the target branch. `None` when CBI is
 /// inapplicable (C++ applications) or no related predicate survives.
@@ -490,6 +507,18 @@ mod tests {
         assert_eq!(cli, TelemetryCli::default());
         assert!(cli.finish().unwrap().is_none(), "no trace requested");
         assert!(cli.apply().is_none(), "no endpoint requested");
+    }
+
+    #[test]
+    fn untracked_restores_the_previous_telemetry_setting() {
+        for before in [true, false] {
+            stm_telemetry::set_enabled(before);
+            assert!(!untracked(stm_telemetry::enabled), "off inside");
+            assert_eq!(stm_telemetry::enabled(), before);
+            let caught = std::panic::catch_unwind(|| untracked(|| panic!("harness work failed")));
+            assert!(caught.is_err());
+            assert_eq!(stm_telemetry::enabled(), before, "restored after a panic");
+        }
     }
 
     #[test]

@@ -7,21 +7,26 @@
 //! profiles have accumulated, and the final ranking is the model's own
 //! `rank()` / `rank_with_absence()` — bit-identical to a batch model over
 //! the same profile stream (pinned in `tests/engine_determinism.rs`).
-//! On top of it:
 //!
-//! * [`ConvergenceTracker`] — owns the model, caches the full sorted live
-//!   scores of every ingest, and tracks top-k rank churn (Kendall-style
-//!   discordant-pair count), the top-1 stability streak and per-predictor
-//!   score trajectories;
-//! * [`StabilityPolicy`] — when the engine may stop collecting early:
-//!   top-1 unchanged for `stable_for` consecutive witnesses, with floor
-//!   counts on both profile classes so a failure-only prefix can never
-//!   declare victory;
-//! * [`SnapshotIngest`] — owned, publication-free per-diagnosis state
-//!   that decodes ring snapshots exactly as the batch extractors do. The
-//!   engine holds one per monitored session and publishes its gauges,
+//! * [`SnapshotIngest`] — the one per-diagnosis state machine. It
+//!   decodes ring snapshots exactly as the batch extractors do, owns the
+//!   ring-typed model with the full sorted live scores of its latest
+//!   ingest, and re-polls after every snapshot: the top-k as
+//!   [`PredictorSummary`]s, top-k rank churn (Kendall-style
+//!   discordant-pair count, [`rank_churn`]), the top-1 stability streak,
+//!   the per-witness [`PollPoint`] history and per-predictor
+//!   [`Trajectory`]s (pinned against a per-prefix batch rebuild in
+//!   `tests/engine_determinism.rs`). It publishes nothing: the engine
+//!   holds one per monitored session and publishes its gauges,
 //!   `/diagnosis` document and verdict event; the fleet daemon holds one
 //!   per shard and publishes per-shard series instead.
+//! * [`StabilityPolicy`] — when the ingest may stop collecting early:
+//!   top-1 unchanged for `stable_for` consecutive witnesses, with floor
+//!   counts on both profile classes so a failure-only prefix can never
+//!   declare victory.
+//! * [`ConvergenceReport`] — what [`SnapshotIngest::finish`] returns:
+//!   the verdict, the accumulated [`ConvergenceEvidence`] and the
+//!   batch-identical [`FinalRanking`].
 
 use crate::diagnose::{failure_profile, success_profile};
 use crate::profile::{lbr_events, lcr_events, BranchOutcome, CoherenceEvent};
@@ -158,232 +163,6 @@ pub struct Trajectory {
     pub points: Vec<(usize, f64)>,
 }
 
-/// Live convergence state over a [`RankingModel`]: the cached live
-/// scores, churn, streak and trajectories, polled once per ingested
-/// witness.
-#[derive(Debug, Clone)]
-pub struct ConvergenceTracker<E: Ord + Clone + Display> {
-    model: RankingModel<E>,
-    absence: bool,
-    policy: StabilityPolicy,
-    scores: Vec<RankedEvent<E>>,
-    churn: u64,
-    top1_streak: usize,
-    history: Vec<PollPoint>,
-    trajectories: BTreeMap<String, Vec<(usize, f64)>>,
-}
-
-impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
-    /// A tracker over an empty presence-only ranking (the LBRA shape).
-    pub fn new(policy: StabilityPolicy) -> Self {
-        ConvergenceTracker {
-            model: RankingModel::new(),
-            absence: false,
-            policy,
-            scores: Vec::new(),
-            churn: 0,
-            top1_streak: 0,
-            history: Vec::new(),
-            trajectories: BTreeMap::new(),
-        }
-    }
-
-    /// A tracker over an empty ranking that also scores absence
-    /// predictors (the LCRA shape, §4.2.2).
-    pub fn with_absence(policy: StabilityPolicy) -> Self {
-        ConvergenceTracker {
-            absence: true,
-            ..ConvergenceTracker::new(policy)
-        }
-    }
-
-    /// The policy the tracker evaluates.
-    pub fn policy(&self) -> &StabilityPolicy {
-        &self.policy
-    }
-
-    /// Witnesses ingested so far (both classes).
-    pub fn witnesses(&self) -> usize {
-        self.failures() + self.successes()
-    }
-
-    /// Failure profiles ingested so far.
-    pub fn failures(&self) -> usize {
-        self.model.failure_count()
-    }
-
-    /// Success profiles ingested so far.
-    pub fn successes(&self) -> usize {
-        self.model.success_count()
-    }
-
-    /// Top-k churn measured at the latest poll.
-    pub fn churn(&self) -> u64 {
-        self.churn
-    }
-
-    /// Consecutive witnesses the current top-1 predictor has survived.
-    pub fn top1_streak(&self) -> usize {
-        self.top1_streak
-    }
-
-    /// The latest top-k ranking.
-    pub fn top(&self) -> &[RankedEvent<E>] {
-        &self.scores[..self.scores.len().min(TOP_K)]
-    }
-
-    /// The full live ranking over every observed event, as of the latest
-    /// ingest and without witness lists — the causal-chain
-    /// reconstructor's support source (link candidates deep in a ring
-    /// window rarely make the top-k).
-    pub fn scores(&self) -> &[RankedEvent<E>] {
-        &self.scores
-    }
-
-    /// Per-witness poll history.
-    pub fn history(&self) -> &[PollPoint] {
-        &self.history
-    }
-
-    /// Display form of a predictor key (`!` prefix marks absence).
-    fn label(event: &E, polarity: Polarity) -> String {
-        match polarity {
-            Polarity::Present => format!("{event}"),
-            Polarity::Absent => format!("!{event}"),
-        }
-    }
-
-    /// The top-k predictor keys.
-    fn top_keys(&self) -> Vec<(E, Polarity)> {
-        self.top()
-            .iter()
-            .map(|p| (p.event.clone(), p.polarity))
-            .collect()
-    }
-
-    /// Ingests one witness profile and re-polls the convergence state.
-    pub fn observe(&mut self, is_failure: bool, id: impl Into<String>, events: BTreeSet<E>) {
-        let prev = self.top_keys();
-        self.model.add_profile_named(is_failure, id, events);
-        self.scores = self.model.scores(self.absence);
-        let keys = self.top_keys();
-        self.churn = rank_churn(&prev, &keys);
-        self.top1_streak = match (prev.first(), keys.first()) {
-            (Some(prev), Some(cur)) if prev == cur => self.top1_streak + 1,
-            (_, Some(_)) => 1,
-            (_, None) => 0,
-        };
-        let witness = self.witnesses();
-        for p in &self.scores[..keys.len()] {
-            self.trajectories
-                .entry(Self::label(&p.event, p.polarity))
-                .or_default()
-                .push((witness, p.score));
-        }
-        self.history.push(PollPoint {
-            witness,
-            churn: self.churn,
-            top1_streak: self.top1_streak,
-        });
-    }
-
-    /// Whether the policy's stability conditions hold right now
-    /// (regardless of whether the policy is allowed to stop).
-    pub fn is_stable(&self) -> bool {
-        self.top1_streak >= self.policy.stable_for
-            && self.failures() >= self.policy.min_failures
-            && self.successes() >= self.policy.min_successes
-    }
-
-    /// Whether the engine should stop collecting: the stability
-    /// conditions hold *and* the policy is armed.
-    pub fn should_stop(&self) -> bool {
-        self.policy.stop && self.is_stable()
-    }
-
-    /// Finalises the tracker: the batch-identical final ranking plus the
-    /// accumulated convergence evidence.
-    #[must_use = "finishing consumes the tracker; use the returned parts"]
-    pub fn finish(self) -> (Vec<RankedEvent<E>>, ConvergenceEvidence) {
-        let ranked = if self.absence {
-            self.model.rank_with_absence()
-        } else {
-            self.model.rank()
-        };
-        let evidence = ConvergenceEvidence {
-            witnesses: self.witnesses(),
-            failures: self.failures(),
-            successes: self.successes(),
-            churn: self.churn,
-            top1_streak: self.top1_streak,
-            stable: self.is_stable(),
-            top1: self
-                .top()
-                .first()
-                .map(|p| Self::label(&p.event, p.polarity)),
-            top: self
-                .top()
-                .iter()
-                .map(|p| PredictorSummary {
-                    predictor: Self::label(&p.event, p.polarity),
-                    precision: p.precision,
-                    recall: p.recall,
-                    score: p.score,
-                    failure_matches: p.failure_matches,
-                    success_matches: p.success_matches,
-                })
-                .collect(),
-            trajectories: self
-                .trajectories
-                .into_iter()
-                .map(|(predictor, points)| Trajectory { predictor, points })
-                .collect(),
-            history: self.history,
-        };
-        (ranked, evidence)
-    }
-
-    /// The tracker's live state as the `/diagnosis` JSON document.
-    pub fn to_json(&self, verdict: &str) -> Json {
-        let top = self
-            .top()
-            .iter()
-            .map(|p| {
-                Json::obj([
-                    ("predictor", Json::from(Self::label(&p.event, p.polarity))),
-                    ("precision", Json::from(p.precision)),
-                    ("recall", Json::from(p.recall)),
-                    ("score", Json::from(p.score)),
-                    ("failure_matches", Json::from(p.failure_matches)),
-                    ("success_matches", Json::from(p.success_matches)),
-                ])
-            })
-            .collect();
-        let trajectories = self
-            .trajectories
-            .iter()
-            .map(|(label, points)| {
-                let pts = points
-                    .iter()
-                    .map(|(w, s)| Json::Arr(vec![Json::from(*w), Json::from(*s)]))
-                    .collect();
-                (label.clone(), Json::Arr(pts))
-            })
-            .collect();
-        Json::obj([
-            ("verdict", Json::from(verdict)),
-            ("witnesses_ingested", Json::from(self.witnesses())),
-            ("failures", Json::from(self.failures())),
-            ("successes", Json::from(self.successes())),
-            ("rank_churn", Json::from(self.churn)),
-            ("top1_stable_for", Json::from(self.top1_streak)),
-            ("policy", self.policy.to_json()),
-            ("top", Json::Arr(top)),
-            ("trajectories", Json::Obj(trajectories)),
-        ])
-    }
-}
-
 /// How a monitored session ended, convergence-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -501,42 +280,66 @@ impl ConvergenceReport {
     /// minus the harness-computed rank curve).
     pub fn to_json(&self) -> Json {
         let e = &self.evidence;
-        let top = e
-            .top
-            .iter()
-            .map(|p| {
-                Json::obj([
-                    ("predictor", Json::from(p.predictor.clone())),
-                    ("precision", Json::from(p.precision)),
-                    ("recall", Json::from(p.recall)),
-                    ("score", Json::from(p.score)),
-                ])
-            })
-            .collect();
-        let trajectories = e
-            .trajectories
-            .iter()
-            .map(|t| {
-                let pts = t
-                    .points
-                    .iter()
-                    .map(|(w, s)| Json::Arr(vec![Json::from(*w), Json::from(*s)]))
-                    .collect();
-                (t.predictor.clone(), Json::Arr(pts))
-            })
-            .collect();
-        Json::obj([
-            ("verdict", Json::from(self.verdict.as_str())),
-            ("witnesses_ingested", Json::from(e.witnesses)),
-            ("failures", Json::from(e.failures)),
-            ("successes", Json::from(e.successes)),
-            ("rank_churn", Json::from(e.churn)),
-            ("top1_stable_for", Json::from(e.top1_streak)),
-            ("policy", self.policy.to_json()),
-            ("top", Json::Arr(top)),
-            ("trajectories", Json::Obj(trajectories)),
-        ])
+        let trajectories = e.trajectories.iter().map(|t| (&t.predictor, &t.points));
+        let counts = (e.failures, e.successes, e.churn, e.top1_streak);
+        document(
+            self.verdict.as_str(),
+            &self.policy,
+            counts,
+            &e.top,
+            false,
+            trajectories,
+        )
     }
+}
+
+/// The convergence document shared by the final report and the live
+/// `/diagnosis` entry: `counts` is `(failures, successes, churn, top-1
+/// streak)`, and `matches` adds each top predictor's class match counts
+/// (the live entry carries them, the final report does not).
+fn document<'a>(
+    verdict: &str,
+    policy: &StabilityPolicy,
+    (failures, successes, churn, top1_streak): (usize, usize, u64, usize),
+    top: &[PredictorSummary],
+    matches: bool,
+    trajectories: impl Iterator<Item = (&'a String, &'a Vec<(usize, f64)>)>,
+) -> Json {
+    let top = top
+        .iter()
+        .map(|p| {
+            let mut fields = vec![
+                ("predictor", Json::from(p.predictor.clone())),
+                ("precision", Json::from(p.precision)),
+                ("recall", Json::from(p.recall)),
+                ("score", Json::from(p.score)),
+            ];
+            if matches {
+                fields.push(("failure_matches", Json::from(p.failure_matches)));
+                fields.push(("success_matches", Json::from(p.success_matches)));
+            }
+            Json::obj(fields)
+        })
+        .collect();
+    let trajectories = trajectories
+        .map(|(label, points)| {
+            let points = points
+                .iter()
+                .map(|(w, s)| Json::Arr(vec![Json::from(*w), Json::from(*s)]));
+            (label.clone(), Json::Arr(points.collect()))
+        })
+        .collect();
+    Json::obj([
+        ("verdict", Json::from(verdict)),
+        ("witnesses_ingested", Json::from(failures + successes)),
+        ("failures", Json::from(failures)),
+        ("successes", Json::from(successes)),
+        ("rank_churn", Json::from(churn)),
+        ("top1_stable_for", Json::from(top1_streak)),
+        ("policy", policy.to_json()),
+        ("top", Json::Arr(top)),
+        ("trajectories", Json::Obj(trajectories)),
+    ])
 }
 
 /// The snapshot-level ingest entry point, factored out of the session
@@ -545,11 +348,12 @@ impl ConvergenceReport {
 /// engine executes itself.
 ///
 /// One ingest owns everything a diagnosis needs — the program [`Layout`]
-/// (for snapshot decoding), the [`FailureSpec`] (for profile selection)
-/// and the ring-appropriate [`ConvergenceTracker`] — and publishes
-/// nothing: no gauges, no status documents, no structured events. The
-/// engine publishes the global observability surface for the ingest it
-/// holds; a fleet shard publishes per-shard series instead.
+/// (for snapshot decoding), the [`FailureSpec`] (for profile selection),
+/// the ring-appropriate [`RankingModel`] and the convergence state it
+/// re-polls after every snapshot — and publishes nothing: no gauges, no
+/// status documents, no structured events. The engine publishes the
+/// global observability surface for the ingest it holds; a fleet shard
+/// publishes per-shard series instead.
 ///
 /// **Determinism contract** (pinned in `tests/fleet_determinism.rs`):
 /// observing the same `(is_failure, witness, report)` sequence always
@@ -562,10 +366,8 @@ impl ConvergenceReport {
 pub struct SnapshotIngest {
     layout: Layout,
     spec: FailureSpec,
-    policy: StabilityPolicy,
-    tracker: Option<Tracker>,
-    progress: Progress,
-    fired: bool,
+    model: Option<Model>,
+    state: Convergence,
     chain_traces: Vec<(String, ProfileData)>,
 }
 
@@ -575,32 +377,140 @@ pub struct SnapshotIngest {
 /// set is deterministic for a deterministic stream.
 pub const CHAIN_TRACE_CAP: usize = 8;
 
-/// The tracker of an ingest, typed by the ring kind its first profile
-/// carried.
+/// The ranking model of an ingest, typed by the ring kind its first
+/// profile carried, with the full sorted live scores of its latest
+/// ingest.
 #[derive(Debug)]
-enum Tracker {
-    Lbr(ConvergenceTracker<BranchOutcome>),
-    Lcr(ConvergenceTracker<CoherenceEvent>),
+enum Model {
+    Lbr(RankingModel<BranchOutcome>, Vec<RankedEvent<BranchOutcome>>),
+    Lcr(
+        RankingModel<CoherenceEvent>,
+        Vec<RankedEvent<CoherenceEvent>>,
+    ),
 }
 
-/// The event-type-free counters of an ingest's tracker, as of its latest
-/// poll.
-#[derive(Debug, Clone, Copy, Default)]
-struct Progress {
+/// The event-type-free convergence state of an ingest, as of its latest
+/// poll, under its stability policy.
+#[derive(Debug, Default)]
+struct Convergence {
+    policy: StabilityPolicy,
+    /// Whether the policy has stopped the stream (latched).
+    fired: bool,
     failures: usize,
     successes: usize,
     churn: u64,
     top1_streak: usize,
+    top: Vec<PredictorSummary>,
+    history: Vec<PollPoint>,
+    trajectories: BTreeMap<String, Vec<(usize, f64)>>,
 }
 
-impl Progress {
-    fn of<E: Ord + Clone + Display>(t: &ConvergenceTracker<E>) -> Progress {
-        Progress {
-            failures: t.failures(),
-            successes: t.successes(),
-            churn: t.churn(),
-            top1_streak: t.top1_streak(),
+impl Convergence {
+    /// Folds one witness profile into `model`, re-scores it into
+    /// `scores`, re-polls churn, streak, top-k and trajectories, and
+    /// latches the stop decision. Churn and the streak compare typed
+    /// `(event, polarity)` keys; each top-k label is formatted once, into
+    /// its summary.
+    fn observe<E: Ord + Clone + Display>(
+        &mut self,
+        model: &mut RankingModel<E>,
+        scores: &mut Vec<RankedEvent<E>>,
+        absence: bool,
+        is_failure: bool,
+        witness: &str,
+        events: BTreeSet<E>,
+    ) {
+        model.add_profile_named(is_failure, witness, events);
+        let prev_scores = std::mem::replace(scores, model.scores(absence));
+        let (prev, cur) = (top_keys(&prev_scores), top_keys(scores));
+        self.churn = rank_churn(&prev, &cur);
+        self.top1_streak = match (prev.first(), cur.first()) {
+            (Some(prev), Some(cur)) if prev == cur => self.top1_streak + 1,
+            (_, Some(_)) => 1,
+            (_, None) => 0,
+        };
+        self.failures = model.failure_count();
+        self.successes = model.success_count();
+        let witness = self.failures + self.successes;
+        self.top = scores[..cur.len()].iter().map(summarize).collect();
+        for p in &self.top {
+            match self.trajectories.get_mut(&p.predictor) {
+                Some(points) => points.push((witness, p.score)),
+                None => {
+                    self.trajectories
+                        .insert(p.predictor.clone(), vec![(witness, p.score)]);
+                }
+            }
         }
+        self.history.push(PollPoint {
+            witness,
+            churn: self.churn,
+            top1_streak: self.top1_streak,
+        });
+        // Latched, so speculative snapshots observed after the stop point
+        // cannot un-stop a diagnosis.
+        self.fired |= self.policy.stop && self.is_stable();
+    }
+
+    /// Whether the policy's stability conditions hold (regardless of
+    /// whether the policy is allowed to stop).
+    fn is_stable(&self) -> bool {
+        self.top1_streak >= self.policy.stable_for
+            && self.failures >= self.policy.min_failures
+            && self.successes >= self.policy.min_successes
+    }
+
+    /// The verdict and the accumulated evidence.
+    fn finish(self) -> (Verdict, ConvergenceEvidence) {
+        let stable = self.is_stable();
+        let verdict = if self.fired {
+            Verdict::ConvergedEarly
+        } else if stable {
+            Verdict::Stable
+        } else {
+            Verdict::Stalled
+        };
+        let evidence = ConvergenceEvidence {
+            witnesses: self.failures + self.successes,
+            failures: self.failures,
+            successes: self.successes,
+            churn: self.churn,
+            top1_streak: self.top1_streak,
+            stable,
+            top1: self.top.first().map(|p| p.predictor.clone()),
+            top: self.top,
+            trajectories: self
+                .trajectories
+                .into_iter()
+                .map(|(predictor, points)| Trajectory { predictor, points })
+                .collect(),
+            history: self.history,
+        };
+        (verdict, evidence)
+    }
+}
+
+/// The top-k predictor keys of a sorted score list.
+fn top_keys<E>(scores: &[RankedEvent<E>]) -> Vec<(&E, Polarity)> {
+    scores
+        .iter()
+        .take(TOP_K)
+        .map(|p| (&p.event, p.polarity))
+        .collect()
+}
+
+/// A scored predictor in display form (`!` prefix marks absence).
+fn summarize<E: Display>(p: &RankedEvent<E>) -> PredictorSummary {
+    PredictorSummary {
+        predictor: match p.polarity {
+            Polarity::Present => format!("{}", p.event),
+            Polarity::Absent => format!("!{}", p.event),
+        },
+        precision: p.precision,
+        recall: p.recall,
+        score: p.score,
+        failure_matches: p.failure_matches,
+        success_matches: p.success_matches,
     }
 }
 
@@ -623,17 +533,18 @@ impl SnapshotIngest {
         SnapshotIngest {
             layout,
             spec,
-            policy,
-            tracker: None,
-            progress: Progress::default(),
-            fired: false,
+            model: None,
+            state: Convergence {
+                policy,
+                ..Convergence::default()
+            },
             chain_traces: Vec::new(),
         }
     }
 
     /// The policy in force.
     pub fn policy(&self) -> &StabilityPolicy {
-        &self.policy
+        &self.state.policy
     }
 
     /// Observes one snapshot-bearing run. Returns `true` when the run
@@ -647,30 +558,27 @@ impl SnapshotIngest {
         let Some(profile) = profile else {
             return false;
         };
-        let policy = self.policy;
-        let tracker = self.tracker.get_or_insert_with(|| match profile.data {
-            ProfileData::Lbr(_) => Tracker::Lbr(ConvergenceTracker::new(policy)),
-            ProfileData::Lcr(_) => Tracker::Lcr(ConvergenceTracker::with_absence(policy)),
+        let model = self.model.get_or_insert_with(|| match profile.data {
+            ProfileData::Lbr(_) => Model::Lbr(RankingModel::new(), Vec::new()),
+            ProfileData::Lcr(_) => Model::Lcr(RankingModel::new(), Vec::new()),
         });
-        let stop = match (&profile.data, tracker) {
-            (ProfileData::Lbr(records), Tracker::Lbr(t)) => {
-                t.observe(is_failure, witness, lbr_events(&self.layout, records));
-                self.progress = Progress::of(t);
-                t.should_stop()
+        let state = &mut self.state;
+        match (&profile.data, model) {
+            (ProfileData::Lbr(records), Model::Lbr(model, scores)) => {
+                let events = lbr_events(&self.layout, records);
+                state.observe(model, scores, false, is_failure, witness, events);
             }
-            (ProfileData::Lcr(records), Tracker::Lcr(t)) => {
-                t.observe(is_failure, witness, lcr_events(&self.layout, records));
-                self.progress = Progress::of(t);
-                t.should_stop()
+            (ProfileData::Lcr(records), Model::Lcr(model, scores)) => {
+                let events = lcr_events(&self.layout, records);
+                state.observe(model, scores, true, is_failure, witness, events);
             }
             // A profile of the other ring: the batch model skips it too.
             _ => return false,
-        };
+        }
         if is_failure && self.chain_traces.len() < CHAIN_TRACE_CAP {
             self.chain_traces
                 .push((witness.to_string(), profile.data.clone()));
         }
-        self.fired |= stop;
         true
     }
 
@@ -690,9 +598,9 @@ impl SnapshotIngest {
     /// ring kind. `None` before the first profile-bearing snapshot pins
     /// the kind.
     pub fn live_ranking(&self) -> Option<LiveRanking<'_>> {
-        match self.tracker.as_ref()? {
-            Tracker::Lbr(t) => Some(LiveRanking::Lbr(t.scores())),
-            Tracker::Lcr(t) => Some(LiveRanking::Lcr(t.scores())),
+        match self.model.as_ref()? {
+            Model::Lbr(_, scores) => Some(LiveRanking::Lbr(scores)),
+            Model::Lcr(_, scores) => Some(LiveRanking::Lcr(scores)),
         }
     }
 
@@ -700,38 +608,38 @@ impl SnapshotIngest {
     /// fired, so speculative snapshots observed after the stop point
     /// cannot un-stop a diagnosis.
     pub fn should_stop(&self) -> bool {
-        self.fired
+        self.state.fired
     }
 
     /// Snapshots ingested so far (both classes).
     pub fn witnesses(&self) -> usize {
-        self.progress.failures + self.progress.successes
+        self.state.failures + self.state.successes
     }
 
     /// Failure snapshots ingested so far.
     pub fn failures(&self) -> usize {
-        self.progress.failures
+        self.state.failures
     }
 
     /// Success snapshots ingested so far.
     pub fn successes(&self) -> usize {
-        self.progress.successes
+        self.state.successes
     }
 
     /// Top-k churn at the latest ingest.
     pub fn churn(&self) -> u64 {
-        self.progress.churn
+        self.state.churn
     }
 
     /// Consecutive snapshots the current top-1 predictor has survived.
     pub fn top1_streak(&self) -> usize {
-        self.progress.top1_streak
+        self.state.top1_streak
     }
 
     /// Live verdict string: `converged` once the policy has fired,
     /// `collecting` before.
     pub fn live_verdict(&self) -> &'static str {
-        if self.fired {
+        if self.state.fired {
             Verdict::ConvergedEarly.as_str()
         } else {
             "collecting"
@@ -740,15 +648,23 @@ impl SnapshotIngest {
 
     /// The live state as a `/diagnosis`-shaped JSON document.
     pub fn to_json(&self) -> Json {
-        match &self.tracker {
-            Some(Tracker::Lbr(t)) => t.to_json(self.live_verdict()),
-            Some(Tracker::Lcr(t)) => t.to_json(self.live_verdict()),
-            None => Json::obj([
-                ("verdict", Json::from(self.live_verdict())),
+        let (verdict, s) = (self.live_verdict(), &self.state);
+        if self.model.is_none() {
+            return Json::obj([
+                ("verdict", Json::from(verdict)),
                 ("witnesses_ingested", Json::from(0usize)),
-                ("policy", self.policy.to_json()),
-            ]),
+                ("policy", s.policy.to_json()),
+            ]);
         }
+        let counts = (s.failures, s.successes, s.churn, s.top1_streak);
+        document(
+            verdict,
+            &s.policy,
+            counts,
+            &s.top,
+            true,
+            s.trajectories.iter(),
+        )
     }
 
     /// Finalises the ingest: computes the verdict and returns the report
@@ -756,26 +672,15 @@ impl SnapshotIngest {
     /// carried a usable profile.
     #[must_use = "finishing consumes the ingest; use the returned report"]
     pub fn finish(self) -> Option<ConvergenceReport> {
-        let (final_ranking, evidence) = match self.tracker? {
-            Tracker::Lbr(t) => {
-                let (r, e) = t.finish();
-                (FinalRanking::Lbr(r), e)
-            }
-            Tracker::Lcr(t) => {
-                let (r, e) = t.finish();
-                (FinalRanking::Lcr(r), e)
-            }
+        let final_ranking = match self.model? {
+            Model::Lbr(model, _) => FinalRanking::Lbr(model.rank()),
+            Model::Lcr(model, _) => FinalRanking::Lcr(model.rank_with_absence()),
         };
-        let verdict = if self.fired {
-            Verdict::ConvergedEarly
-        } else if evidence.stable {
-            Verdict::Stable
-        } else {
-            Verdict::Stalled
-        };
+        let policy = self.state.policy;
+        let (verdict, evidence) = self.state.finish();
         Some(ConvergenceReport {
             verdict,
-            policy: self.policy,
+            policy,
             evidence,
             final_ranking,
         })
@@ -788,6 +693,46 @@ mod tests {
 
     fn set(items: &[&str]) -> BTreeSet<String> {
         items.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The ingest's convergence state driven with hand-made string
+    /// events (presence-only), under a policy.
+    struct Stream {
+        model: RankingModel<String>,
+        scores: Vec<RankedEvent<String>>,
+        state: Convergence,
+    }
+
+    impl Stream {
+        fn new(policy: StabilityPolicy) -> Stream {
+            Stream {
+                model: RankingModel::new(),
+                scores: Vec::new(),
+                state: Convergence {
+                    policy,
+                    ..Convergence::default()
+                },
+            }
+        }
+
+        fn observe(&mut self, is_failure: bool, id: &str, events: BTreeSet<String>) {
+            let (model, scores) = (&mut self.model, &mut self.scores);
+            self.state
+                .observe(model, scores, false, is_failure, id, events);
+        }
+
+        fn should_stop(&self) -> bool {
+            self.state.fired
+        }
+
+        fn top1(&self) -> &str {
+            &self.state.top[0].predictor
+        }
+
+        fn finish(self) -> (Vec<RankedEvent<String>>, Verdict, ConvergenceEvidence) {
+            let (verdict, evidence) = self.state.finish();
+            (self.model.rank(), verdict, evidence)
+        }
     }
 
     #[test]
@@ -806,7 +751,7 @@ mod tests {
 
     #[test]
     fn stable_stream_builds_a_streak_and_stops() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::default().stable_for(3));
+        let mut t = Stream::new(StabilityPolicy::default().stable_for(3));
         // Alternate failure/success so both class floors fill.
         for i in 0..8 {
             let is_failure = i % 2 == 0;
@@ -815,16 +760,20 @@ mod tests {
             } else {
                 set(&["noise"])
             };
-            t.observe(is_failure, format!("w{i}"), events);
+            t.observe(is_failure, &format!("w{i}"), events);
         }
-        assert!(t.top1_streak() >= 3, "streak {}", t.top1_streak());
-        assert_eq!(t.top()[0].event, "root");
+        assert!(t.state.top1_streak >= 3, "streak {}", t.state.top1_streak);
+        assert_eq!(t.top1(), "root");
+        assert_eq!(t.scores[0].event, "root");
         assert!(t.should_stop());
-        let (ranked, evidence) = t.finish();
+        let (ranked, verdict, evidence) = t.finish();
         assert_eq!(ranked[0].event, "root");
+        assert_eq!(verdict, Verdict::ConvergedEarly);
         assert!(evidence.stable);
         assert_eq!(evidence.top1.as_deref(), Some("root"));
         assert_eq!(evidence.history.len(), 8);
+        assert_eq!((evidence.failures, evidence.successes), (4, 4));
+        assert_eq!(evidence.witnesses, 8);
     }
 
     #[test]
@@ -832,56 +781,99 @@ mod tests {
         // Ten failures, zero successes: however stable the top-1, the
         // success floor must hold the stop (witness mode ingests all
         // failures before the first success).
-        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
+        let mut t = Stream::new(StabilityPolicy::default());
         for i in 0..10 {
-            t.observe(true, format!("f{i}"), set(&["root"]));
+            t.observe(true, &format!("f{i}"), set(&["root"]));
         }
-        assert!(t.top1_streak() >= 5);
+        assert!(t.state.top1_streak >= 5);
         assert!(!t.should_stop(), "success floor must block the stop");
         t.observe(false, "s0", set(&["noise"]));
         t.observe(false, "s1", set(&["noise"]));
         assert!(!t.should_stop(), "two successes are below the floor");
         t.observe(false, "s2", set(&["noise"]));
         assert!(t.should_stop(), "three successes satisfy the floor");
+
+        // The same floors decide the end-of-run verdict.
+        let mut t = Stream::new(StabilityPolicy::never());
+        for i in 0..10 {
+            t.observe(true, &format!("f{i}"), set(&["root"]));
+        }
+        let (_, verdict, evidence) = t.finish();
+        assert!(evidence.top1_streak >= 5);
+        assert!(!evidence.stable, "success floor must hold the verdict");
+        assert_eq!(verdict, Verdict::Stalled);
+    }
+
+    #[test]
+    fn stop_latches_once_fired() {
+        let mut t = Stream::new(StabilityPolicy::default().stable_for(2));
+        for i in 0..6 {
+            let events = if i % 2 == 0 {
+                set(&["root"])
+            } else {
+                set(&["noise"])
+            };
+            t.observe(i % 2 == 0, &format!("w{i}"), events);
+        }
+        assert!(t.should_stop());
+        // Four failures of a new event out-recall "root" (a tie at three
+        // keeps "root" first): the top-1 flips and the conditions no
+        // longer hold, but the decision stands.
+        for i in 0..4 {
+            t.observe(true, &format!("f{i}"), set(&["zz"]));
+        }
+        assert_eq!(t.top1(), "zz");
+        assert!(!t.state.is_stable(), "the flip resets the streak");
+        assert!(t.should_stop(), "a fired stop must stay fired");
+        assert_eq!(t.finish().1, Verdict::ConvergedEarly);
     }
 
     #[test]
     fn never_policy_tracks_but_does_not_stop() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
+        let mut t = Stream::new(StabilityPolicy::never());
         for i in 0..20 {
-            t.observe(i % 2 == 0, format!("w{i}"), set(&["root"]));
+            t.observe(i % 2 == 0, &format!("w{i}"), set(&["root"]));
         }
-        assert!(t.is_stable(), "the stability conditions themselves hold");
+        assert!(
+            t.state.is_stable(),
+            "the stability conditions themselves hold"
+        );
         assert!(!t.should_stop(), "never() must not stop the session");
+        let (_, verdict, evidence) = t.finish();
+        assert_eq!(verdict, Verdict::Stable);
+        assert!(evidence.stable);
     }
 
     #[test]
     fn churny_stream_resets_the_streak() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
+        let mut t = Stream::new(StabilityPolicy::never());
         // Each failure profile carries a different singleton event, so
         // the top-1 keeps flipping to the newest tie-break winner or an
         // earlier event — the streak must stay short.
         let events = ["a", "b", "c", "d"];
         for (i, e) in events.iter().enumerate() {
-            t.observe(true, format!("f{i}"), set(&[e]));
+            t.observe(true, &format!("f{i}"), set(&[e]));
         }
         // All four tie at the same score; tie-break keeps "a" first, so
         // after the first ingest the top-1 settles on "a".
-        assert_eq!(t.top()[0].event, "a");
+        assert_eq!(t.top1(), "a");
         // Now a success profile containing "a" dilutes its precision:
         // the top-1 flips and the streak resets.
         t.observe(false, "s0", set(&["a"]));
-        assert_ne!(t.top()[0].event, "a");
-        assert_eq!(t.top1_streak(), 1, "flip must reset the streak");
-        assert!(t.churn() > 0, "the flip must register as churn");
+        assert_ne!(t.top1(), "a");
+        assert_eq!(t.state.top1_streak, 1, "flip must reset the streak");
+        assert!(t.state.churn > 0, "the flip must register as churn");
+        let (_, verdict, evidence) = t.finish();
+        assert_eq!(verdict, Verdict::Stalled, "no success floor, no stability");
+        assert!(!evidence.stable);
     }
 
     #[test]
     fn trajectories_follow_top_k_members() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
+        let mut t = Stream::new(StabilityPolicy::never());
         t.observe(true, "f0", set(&["root"]));
         t.observe(false, "s0", set(&["noise"]));
-        let (_, evidence) = t.finish();
+        let (_, _, evidence) = t.finish();
         let names: Vec<&str> = evidence
             .trajectories
             .iter()
@@ -906,11 +898,49 @@ mod tests {
     }
 
     #[test]
-    fn tracker_json_document_is_parseable_and_complete() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
-        t.observe(true, "f0", set(&["root"]));
-        let doc = t.to_json("collecting");
-        let round = Json::parse(&doc.encode()).expect("valid JSON");
+    fn ingest_json_document_is_parseable_and_complete() {
+        use crate::engine::DiagnosisSession;
+        use crate::runner::Workload;
+        use crate::transform::InstrumentOptions;
+        use stm_machine::builder::ProgramBuilder;
+        use stm_machine::ir::BinOp;
+
+        // Logs an error iff input 0 is negative.
+        let mut pb = ProgramBuilder::new("p");
+        let main = pb.declare_function("main");
+        let mut f = pb.build_function(main, "m.c");
+        let (err, ok) = (f.new_block(), f.new_block());
+        let x = f.read_input(0);
+        let neg = f.bin(BinOp::Lt, x, 0);
+        f.br(neg, err, ok);
+        f.set_block(err);
+        let site = f.log_error("negative input");
+        f.exit(1);
+        f.ret(None);
+        f.set_block(ok);
+        f.output(x);
+        f.ret(None);
+        f.finish();
+        let program = pb.finish(main);
+        let profiles = DiagnosisSession::new(&program)
+            .instrument(&InstrumentOptions::lbra_reactive(vec![site], vec![]))
+            .failure(FailureSpec::ErrorLogAt(site))
+            .failing(vec![Workload::new(vec![-1])])
+            .failure_profiles(1)
+            .success_profiles(0)
+            .collect()
+            .expect("collection succeeds");
+
+        let mut ingest = SnapshotIngest::new(
+            profiles.runner().machine().layout().clone(),
+            profiles.spec().clone(),
+            StabilityPolicy::default(),
+        );
+        let empty = Json::parse(&ingest.to_json().encode()).expect("valid JSON");
+        assert_eq!(empty.get("top"), None, "no model before the first profile");
+        let run = &profiles.failure_runs()[0];
+        assert!(ingest.observe(true, &run.witness, &run.report));
+        let round = Json::parse(&ingest.to_json().encode()).expect("valid JSON");
         assert_eq!(
             round.get("verdict").and_then(Json::as_str),
             Some("collecting")

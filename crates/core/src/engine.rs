@@ -10,7 +10,7 @@
 //!
 //! ## Job model
 //!
-//! A collection is described by a [`JobPlan`]: a pure function from a
+//! A collection is described by a `JobPlan`: a pure function from a
 //! logical job index `i` to the `i`-th (workload, seed) pair. Witness-mode
 //! plans cycle a workload list, perturbing the scheduler seed on each lap
 //! exactly as the sequential driver did; scan-mode plans enumerate
@@ -115,105 +115,6 @@ impl std::fmt::Display for SessionError {
 }
 
 impl std::error::Error for SessionError {}
-
-/// Unified configuration for a diagnosis session: the shared profile
-/// [`Quotas`], the interpreter's [`RunConfig`], the simulated-hardware
-/// [`HwConfig`], and the engine's parallelism knobs, behind one
-/// `Default` + builder-setter surface.
-#[derive(Debug, Clone)]
-pub struct SessionConfig {
-    /// Profile quotas — failure/success profile counts and the per-phase
-    /// run cap. The paper diagnoses from 10 failure occurrences (§5.2;
-    /// §7.2 contrasts this diagnosis latency with CBI's ~1000). The same
-    /// [`Quotas`] type configures the fleet daemon's per-shard caps.
-    pub quotas: Quotas,
-    /// Worker threads for profile collection; `1` keeps the sequential
-    /// driver, `0` asks the OS for the available parallelism. Runs are
-    /// independent production executions (§2's per-run short-term memory
-    /// snapshots), so sharding them changes no result.
-    pub threads: usize,
-    /// Speculation window: how many jobs may be dispatched beyond the
-    /// consumed prefix (`0` = `threads × 4`). Bounds the work discarded
-    /// when the quota early-stop triggers.
-    pub chunk: usize,
-    /// Interpreter configuration — step budget, cores, scheduler,
-    /// sampling (the §6 evaluation machine model).
-    pub run: RunConfig,
-    /// Simulated monitoring-hardware geometry — 16-entry Nehalem-style
-    /// LBR, LCR size/configuration (§3, §4.2.1).
-    pub hw: HwConfig,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig {
-            quotas: Quotas::default(),
-            threads: 1,
-            chunk: 0,
-            run: RunConfig::default(),
-            hw: HwConfig::default(),
-        }
-    }
-}
-
-impl SessionConfig {
-    /// Replaces the profile quotas.
-    pub fn quotas(mut self, quotas: Quotas) -> Self {
-        self.quotas = quotas;
-        self
-    }
-
-    /// Sets the failure-profile quota.
-    pub fn failure_profiles(mut self, n: usize) -> Self {
-        self.quotas.failure_profiles = n;
-        self
-    }
-
-    /// Sets the success-profile quota.
-    pub fn success_profiles(mut self, n: usize) -> Self {
-        self.quotas.success_profiles = n;
-        self
-    }
-
-    /// Sets the per-phase run cap.
-    pub fn max_runs(mut self, n: usize) -> Self {
-        self.quotas.max_runs = n;
-        self
-    }
-
-    /// Sets the worker-thread count (`0` = available parallelism).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Sets the speculation window (`0` = `threads × 4`).
-    pub fn chunk(mut self, n: usize) -> Self {
-        self.chunk = n;
-        self
-    }
-
-    /// Sets the interpreter configuration.
-    pub fn run(mut self, run: RunConfig) -> Self {
-        self.run = run;
-        self
-    }
-
-    /// Sets the simulated-hardware configuration.
-    pub fn hw(mut self, hw: HwConfig) -> Self {
-        self.hw = hw;
-        self
-    }
-}
-
-impl From<Quotas> for SessionConfig {
-    fn from(quotas: Quotas) -> Self {
-        SessionConfig {
-            quotas,
-            ..SessionConfig::default()
-        }
-    }
-}
 
 /// One profile-bearing run kept by a collection: the witness id the
 /// forensic report names, the exact (seed-perturbed) workload that was
@@ -341,7 +242,12 @@ pub struct DiagnosisSession {
     bases: Vec<Workload>,
     seeds: Option<Range<u64>>,
     kind: Option<ProfileKind>,
-    config: SessionConfig,
+    /// Profile quotas. The paper diagnoses from 10 failure occurrences
+    /// (§5.2; §7.2 contrasts this diagnosis latency with CBI's ~1000).
+    quotas: Quotas,
+    threads: usize,
+    run: RunConfig,
+    hw: HwConfig,
     policy: Option<StabilityPolicy>,
 }
 
@@ -362,7 +268,10 @@ impl DiagnosisSession {
             bases: Vec::new(),
             seeds: None,
             kind: None,
-            config: SessionConfig::default(),
+            quotas: Quotas::default(),
+            threads: 1,
+            run: RunConfig::default(),
+            hw: HwConfig::default(),
             policy: None,
         }
     }
@@ -371,8 +280,8 @@ impl DiagnosisSession {
     /// the migration path for callers that already hold a [`Runner`].
     pub fn from_runner(runner: &Runner) -> Self {
         let mut s = DiagnosisSession::with_machine(runner.machine().clone());
-        s.config.run = runner.run_config().clone();
-        s.config.hw = *runner.hw_config();
+        s.run = runner.run_config().clone();
+        s.hw = *runner.hw_config();
         s
     }
 
@@ -427,47 +336,45 @@ impl DiagnosisSession {
         self
     }
 
-    /// Sets the worker-thread count (`0` = available parallelism).
+    /// Sets the worker-thread count (`0` = available parallelism). Runs
+    /// are independent production executions (§2's per-run short-term
+    /// memory snapshots), so sharding them changes no result.
     pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = n;
-        self
-    }
-
-    /// Sets the speculation window (`0` = `threads × 4`).
-    pub fn chunk(mut self, n: usize) -> Self {
-        self.config.chunk = n;
+        self.threads = n;
         self
     }
 
     /// Sets the failure-profile quota (scan mode: failing witnesses to
     /// find).
     pub fn failure_profiles(mut self, n: usize) -> Self {
-        self.config.quotas.failure_profiles = n;
+        self.quotas.failure_profiles = n;
         self
     }
 
     /// Sets the success-profile quota (scan mode: passing witnesses to
     /// find).
     pub fn success_profiles(mut self, n: usize) -> Self {
-        self.config.quotas.success_profiles = n;
+        self.quotas.success_profiles = n;
         self
     }
 
     /// Sets the per-phase run cap.
     pub fn max_runs(mut self, n: usize) -> Self {
-        self.config.quotas.max_runs = n;
+        self.quotas.max_runs = n;
         self
     }
 
-    /// Sets the interpreter configuration.
+    /// Sets the interpreter configuration — step budget, cores,
+    /// scheduler, sampling (the §6 evaluation machine model).
     pub fn run_config(mut self, run: RunConfig) -> Self {
-        self.config.run = run;
+        self.run = run;
         self
     }
 
-    /// Sets the simulated-hardware configuration.
+    /// Sets the simulated-hardware configuration — LBR/LCR geometry
+    /// (§3, §4.2.1) and signal perturbation.
     pub fn hw_config(mut self, hw: HwConfig) -> Self {
-        self.config.hw = hw;
+        self.hw = hw;
         self
     }
 
@@ -496,16 +403,10 @@ impl DiagnosisSession {
         self
     }
 
-    /// Replaces the whole configuration at once.
-    pub fn config(mut self, config: SessionConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Replaces the profile quotas, keeping the session's run/hw configs
-    /// and parallelism knobs.
+    /// and parallelism.
     pub fn quotas(mut self, quotas: Quotas) -> Self {
-        self.config.quotas = quotas;
+        self.quotas = quotas;
         self
     }
 
@@ -569,23 +470,15 @@ impl DiagnosisSession {
 
     fn collect_inner(self) -> Result<(CollectedProfiles, SessionLoss), SessionError> {
         let spec = self.spec.ok_or(SessionError::MissingFailureSpec)?;
-        self.config
-            .hw
-            .validate()
-            .map_err(SessionError::InvalidHardware)?;
+        self.hw.validate().map_err(SessionError::InvalidHardware)?;
         let scan = !self.bases.is_empty();
         if scan && (!self.failing.is_empty() || !self.passing.is_empty()) {
             return Err(SessionError::ConflictingWorkloads);
         }
         let runner = Runner::new(self.machine)
-            .with_run_config(self.config.run.clone())
-            .with_hw_config(self.config.hw);
-        let threads = resolve_threads(self.config.threads);
-        let window = if self.config.chunk == 0 {
-            threads.saturating_mul(16).max(1)
-        } else {
-            self.config.chunk
-        };
+            .with_run_config(self.run)
+            .with_hw_config(self.hw);
+        let threads = resolve_threads(self.threads);
         let _span = stm_telemetry::span_cat("engine.collect", "engine");
 
         let mut sink = Sink::default();
@@ -605,16 +498,12 @@ impl DiagnosisSession {
         });
         let mut loss = SessionLoss::default();
         if scan {
-            let seeds = self.seeds.unwrap_or(0..self.config.quotas.max_runs as u64);
+            let seeds = self.seeds.unwrap_or(0..self.quotas.max_runs as u64);
             let plan = JobPlan::scan(self.bases, seeds);
-            let mut quota = Quota::scan(
-                self.config.quotas.failure_profiles,
-                self.config.quotas.success_profiles,
-            );
+            let mut quota = Quota::scan(self.quotas.failure_profiles, self.quotas.success_profiles);
             run_plan(
                 &plan,
                 threads,
-                window,
                 &mut quota,
                 &spec,
                 &mut sink,
@@ -623,12 +512,11 @@ impl DiagnosisSession {
             )?;
             loss.absorb(&quota);
         } else {
-            let plan = JobPlan::cycle(self.failing, self.config.quotas.max_runs as u64);
-            let mut quota = Quota::witness_fail(self.config.quotas.failure_profiles, self.kind);
+            let plan = JobPlan::cycle(self.failing, self.quotas.max_runs as u64);
+            let mut quota = Quota::witness_fail(self.quotas.failure_profiles, self.kind);
             run_plan(
                 &plan,
                 threads,
-                window,
                 &mut quota,
                 &spec,
                 &mut sink,
@@ -636,12 +524,11 @@ impl DiagnosisSession {
                 &factory,
             )?;
             loss.absorb(&quota);
-            let plan = JobPlan::cycle(self.passing, self.config.quotas.max_runs as u64);
-            let mut quota = Quota::witness_pass(self.config.quotas.success_profiles, self.kind);
+            let plan = JobPlan::cycle(self.passing, self.quotas.max_runs as u64);
+            let mut quota = Quota::witness_pass(self.quotas.success_profiles, self.kind);
             run_plan(
                 &plan,
                 threads,
-                window,
                 &mut quota,
                 &spec,
                 &mut sink,
@@ -940,6 +827,9 @@ fn profile_matches(profile: Option<&ProfileEvent>, kind: Option<ProfileKind>) ->
     }
 }
 
+/// Jobs per [`Chunk`].
+const CHUNK: u64 = 16;
+
 /// A contiguous slab of job indices handed to a worker in one channel
 /// message. Workers regenerate the jobs themselves from the shared
 /// [`JobPlan`], so the transport moves two integers (plus flow ids when
@@ -1101,11 +991,9 @@ fn finish_convergence(ingest: SnapshotIngest) -> Option<ConvergenceReport> {
 /// The worker body is injected (`factory` builds one executor per
 /// worker), so tests can drive the pool with hostile executors — e.g. a
 /// panicking run — without a real machine.
-#[allow(clippy::too_many_arguments)] // the engine's one internal seam
 fn run_plan<W, F>(
     plan: &JobPlan,
     threads: usize,
-    window: usize,
     quota: &mut Quota,
     spec: &FailureSpec,
     sink: &mut Sink,
@@ -1150,10 +1038,10 @@ where
     // zero this one).
     let workers = stm_telemetry::gauge!("engine.workers");
     workers.set(threads as i64);
-    // Chunk size: the speculation window split across the pool, so a
-    // full window keeps every worker holding exactly one chunk while the
-    // next one is in flight.
-    let chunk_size = (window / threads).max(1) as u64;
+    // The speculation window bounds the work discarded when the quota or
+    // the convergence policy stops the session: one chunk per worker, so
+    // a full window keeps every worker holding one chunk.
+    let window = threads as u64 * CHUNK;
     let outcome = std::thread::scope(|s| -> Result<(), SessionError> {
         let (job_tx, job_rx) = mpsc::channel::<Chunk>();
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -1232,9 +1120,9 @@ where
         while consumed < limit && !quota.done() && !converged(ingest) && failure.is_none() {
             // Keep the queue primed up to the speculation window, one
             // chunk per send.
-            while dispatched < limit && dispatched < consumed + window as u64 {
-                let cap = (consumed + window as u64 - dispatched).min(limit - dispatched);
-                let len = chunk_size.min(cap);
+            while dispatched < limit && dispatched < consumed + window {
+                let cap = (consumed + window - dispatched).min(limit - dispatched);
+                let len = CHUNK.min(cap);
                 let mut flows = Vec::new();
                 if stm_telemetry::enabled() {
                     // Stamp the causal chain per job: enqueue → worker
@@ -1532,10 +1420,8 @@ mod tests {
                 runner.run_classified(&job.workload, &FailureSpec::AnyCrash)
             }
         };
-        let err = run_plan(
-            &plan, 4, 8, &mut quota, &spec, &mut sink, &mut None, &factory,
-        )
-        .unwrap_err();
+        let err =
+            run_plan(&plan, 4, &mut quota, &spec, &mut sink, &mut None, &factory).unwrap_err();
         match err {
             SessionError::WorkerPanicked { message, .. } => {
                 assert!(message.contains("poisoned run"), "{message}");

@@ -75,19 +75,17 @@ pub mod transform;
 
 /// Convenient re-exports for downstream users.
 ///
-/// This is the blessed public surface: the [`DiagnosisSession`] engine,
-/// its [`SessionConfig`]/[`Quotas`] configuration, and the whole
-/// [`converge`] module (convergence tracking, stability policies, the
-/// snapshot-level [`SnapshotIngest`](converge::SnapshotIngest) entry
-/// point). The PR-3 era free functions (`lbra`, `lcra`,
-/// `find_workloads`) are gone; every caller goes through a session or a
-/// snapshot ingest.
+/// This is the blessed public surface: the [`DiagnosisSession`] engine
+/// and its [`Quotas`], and the whole [`converge`] module (stability
+/// policies, convergence reports, the snapshot-level [`SnapshotIngest`]
+/// entry point). Every caller goes through a session or a snapshot
+/// ingest.
 pub mod prelude {
     pub use crate::analysis::{useful_branch_ratio, UsefulBranchReport};
     pub use crate::converge::*;
     pub use crate::diagnose::{DiagnosisStats, LbraDiagnosis, LcraDiagnosis, Quotas};
     pub use crate::engine::{
-        CollectedProfiles, CollectedRun, DiagnosisSession, ProfileKind, SessionConfig, SessionError,
+        CollectedProfiles, CollectedRun, DiagnosisSession, ProfileKind, SessionError,
     };
     pub use crate::logging::{
         failure_log, render_failure_log, run_and_log, FailureLog, LogPayload,

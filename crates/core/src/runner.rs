@@ -244,7 +244,7 @@ impl Runner {
 
     /// Runs one workload on (logically) fresh hardware; returns the
     /// report. The hardware context and interpreter scratch come from the
-    /// thread-local [`RUN_CACHE`], so the hot collection path allocates
+    /// thread-local `RUN_CACHE`, so the hot collection path allocates
     /// no per-run state.
     pub fn run(&self, workload: &Workload) -> RunReport {
         self.run_cached(workload, None)

@@ -7,8 +7,7 @@
 //! bounded memory. This crate is that daemon:
 //!
 //! * **Sharding** — every snapshot names a shard (one per workload
-//!   population); each shard owns a
-//!   [`SnapshotIngest`](stm_core::converge::SnapshotIngest) — the same
+//!   population); each shard owns a [`SnapshotIngest`] — the same
 //!   incremental ranking + [`StabilityPolicy`] machinery the session run
 //!   loop uses — and early-stops independently of its siblings.
 //! * **Backpressure** — each shard has a *bounded* ingest queue with an
@@ -34,9 +33,9 @@
 //! how many threads submit. For a fixed endpoint schedule the per-shard
 //! final ranking is bit-identical to a batch
 //! [`RankingModel`](stm_core::RankingModel) over the same (kept)
-//! snapshots — the [`SnapshotIngest`](stm_core::converge::SnapshotIngest)
-//! contract, pinned in `tests/fleet_determinism.rs`. Shedding is equally
-//! deterministic: with a paused shard and a seeded schedule, exactly the
+//! snapshots — the [`SnapshotIngest`] contract, pinned in
+//! `tests/fleet_determinism.rs`. Shedding is equally deterministic: with
+//! a paused shard and a seeded schedule, exactly the
 //! queued-beyond-capacity snapshots are shed, and which ones depends
 //! only on the [`ShedPolicy`].
 
@@ -410,7 +409,8 @@ impl FleetDaemon {
     /// Registers a shard. Each shard owns the layout and failure spec of
     /// its workload population (endpoints of one shard all run the same
     /// instrumented program). Must be called before
-    /// [`start`](FleetDaemon::start); replaces any same-named shard.
+    /// [`start`](FleetDaemon::start); replaces any same-named shard. A
+    /// `queue_capacity` of 0 is clamped to 1, as the setter does.
     pub fn add_shard(
         &mut self,
         name: impl Into<String>,
@@ -420,6 +420,7 @@ impl FleetDaemon {
     ) {
         assert!(!self.started, "add_shard after start");
         let name = name.into();
+        let config = config.queue_capacity(config.queue_capacity);
         let shard = Shard {
             name: name.clone(),
             config,
@@ -961,6 +962,40 @@ mod tests {
         let reports = fleet.finish();
         assert_eq!(reports["s"].ingested, capacity as u64);
         assert_eq!(reports["s"].shed, rejected as u64);
+    }
+
+    #[test]
+    fn zero_queue_capacity_field_is_clamped_to_one() {
+        // The field is public, so it can bypass the clamping setter.
+        let (profiles, _site) = collected();
+        let all = snapshots(&profiles, "s");
+        for (shed, overflow) in [
+            (ShedPolicy::DropOldest, SubmitOutcome::ShedOldest),
+            (ShedPolicy::RejectNew, SubmitOutcome::RejectedNew),
+        ] {
+            let mut fleet = FleetDaemon::new();
+            fleet.add_shard(
+                "s",
+                profiles.runner().machine().layout().clone(),
+                profiles.spec().clone(),
+                ShardConfig {
+                    queue_capacity: 0,
+                    shed,
+                    ..ShardConfig::default().policy(StabilityPolicy::never())
+                },
+            );
+            fleet.start();
+            fleet.pause("s");
+            assert_eq!(fleet.submit(all[0].clone()), SubmitOutcome::Enqueued);
+            for s in &all[1..] {
+                assert_eq!(fleet.submit(s.clone()), overflow, "{shed:?}");
+            }
+            assert_eq!(fleet.queue_depth("s"), 1);
+            fleet.resume("s");
+            let reports = fleet.finish();
+            assert_eq!(reports["s"].ingested, 1, "{shed:?}");
+            assert_eq!(reports["s"].shed, all.len() as u64 - 1, "{shed:?}");
+        }
     }
 
     /// Telemetry is process-global; tests that enable it and read its

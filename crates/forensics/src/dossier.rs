@@ -2,7 +2,7 @@
 //! decoded and bundled into a single shippable artifact.
 //!
 //! A [`FailureDossier`] is assembled at diagnosis time from a
-//! [`RunReport`](stm_machine::report::RunReport): the failure symptom and
+//! [`RunReport`]: the failure symptom and
 //! site, the LBR ring decoded to source branches, the LCR ring decoded to
 //! MESI state transitions, the log calls the run executed, and the
 //! per-thread last-instruction context (which instruction each thread was

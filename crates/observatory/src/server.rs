@@ -4,7 +4,7 @@
 //! Routes:
 //!
 //! * `GET /metrics` — the registry as Prometheus text ([`crate::prom`]);
-//! * `GET /health` — one [`HealthEngine`](crate::HealthEngine)
+//! * `GET /health` — one [`HealthEngine`]
 //!   observation as JSON (runs/sec derived from the `engine.runs`
 //!   counter delta since the previous `/health` poll);
 //! * `GET /events` — the most recent structured log events as JSONL

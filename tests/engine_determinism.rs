@@ -360,6 +360,174 @@ fn early_stop_is_identical_at_1_and_8_threads() {
     );
 }
 
+/// The naive convergence history of a witness stream: a fresh batch
+/// model over every prefix, its top-k keys, the Kendall churn and top-1
+/// streak between consecutive prefixes, the score of every top-k member
+/// at every prefix, and the last prefix's top-k.
+fn naive_history<E: Ord + Clone + std::fmt::Display>(
+    stream: &[(bool, String, std::collections::BTreeSet<E>)],
+    absence: bool,
+) -> (
+    Vec<stm::core::converge::PollPoint>,
+    Vec<stm::core::converge::Trajectory>,
+    Vec<stm::core::converge::PredictorSummary>,
+) {
+    use stm::core::converge::{rank_churn, PollPoint, PredictorSummary, Trajectory, TOP_K};
+    use stm::core::ranking::{Polarity, RankingModel};
+
+    let mut last_top = Vec::new();
+    let mut history = Vec::new();
+    let mut trajectories: std::collections::BTreeMap<String, Vec<(usize, f64)>> =
+        Default::default();
+    let mut prev: Vec<(E, Polarity)> = Vec::new();
+    let mut streak = 0;
+    for witness in 1..=stream.len() {
+        let mut model = RankingModel::new();
+        for (is_failure, id, events) in &stream[..witness] {
+            model.add_profile_named(*is_failure, id.clone(), events.clone());
+        }
+        let ranked = if absence {
+            model.rank_with_absence()
+        } else {
+            model.rank()
+        };
+        let top = &ranked[..ranked.len().min(TOP_K)];
+        let keys: Vec<(E, Polarity)> = top.iter().map(|p| (p.event.clone(), p.polarity)).collect();
+        streak = match (prev.first(), keys.first()) {
+            (Some(a), Some(b)) if a == b => streak + 1,
+            (_, Some(_)) => 1,
+            (_, None) => 0,
+        };
+        history.push(PollPoint {
+            witness,
+            churn: rank_churn(&prev, &keys),
+            top1_streak: streak,
+        });
+        last_top.clear();
+        for p in top {
+            let label = match p.polarity {
+                Polarity::Present => format!("{}", p.event),
+                Polarity::Absent => format!("!{}", p.event),
+            };
+            trajectories
+                .entry(label.clone())
+                .or_default()
+                .push((witness, p.score));
+            last_top.push(PredictorSummary {
+                predictor: label,
+                precision: p.precision,
+                recall: p.recall,
+                score: p.score,
+                failure_matches: p.failure_matches,
+                success_matches: p.success_matches,
+            });
+        }
+        prev = keys;
+    }
+    let trajectories = trajectories
+        .into_iter()
+        .map(|(predictor, points)| Trajectory { predictor, points })
+        .collect();
+    (history, trajectories, last_top)
+}
+
+#[test]
+fn convergence_history_matches_a_naive_prefix_rebuild() {
+    // Per-witness churn, streak and score trajectories are the live
+    // convergence surface (`/diagnosis`, the CONVERGENCE_* curves); pin
+    // them, and the final evidence and verdict, against a batch model
+    // rebuilt over every witness prefix.
+    use stm::core::converge::{StabilityPolicy, Verdict};
+    use stm::core::diagnose::{failure_profile, success_profile};
+    use stm::core::profile::{lbr_events, lcr_events};
+    use stm::machine::report::ProfileData;
+
+    let policy = StabilityPolicy::never();
+    for (id, kind, verdict) in [
+        ("sort", ProfileKind::Lbr, Verdict::Stalled),
+        ("apache4", ProfileKind::Lcr, Verdict::Stable),
+    ] {
+        let b = stm::suite::by_id(id).expect("benchmark exists");
+        let p = collect_converge(&b, kind, 1, policy);
+        let layout = p.runner().machine().layout();
+        let spec = p.spec();
+        let runs = p
+            .failure_runs()
+            .iter()
+            .map(|r| (true, r, failure_profile(&r.report, spec)))
+            .chain(
+                p.success_runs()
+                    .iter()
+                    .map(|r| (false, r, success_profile(&r.report, spec))),
+            );
+        let (history, trajectories, top) = match kind {
+            ProfileKind::Lbr => {
+                let stream: Vec<_> = runs
+                    .map(
+                        |(f, r, prof)| match &prof.expect("kept runs carry a profile").data {
+                            ProfileData::Lbr(records) => {
+                                (f, r.witness.clone(), lbr_events(layout, records))
+                            }
+                            ProfileData::Lcr(_) => panic!("{id}: LBR session kept an LCR profile"),
+                        },
+                    )
+                    .collect();
+                naive_history(&stream, false)
+            }
+            ProfileKind::Lcr => {
+                let stream: Vec<_> = runs
+                    .map(
+                        |(f, r, prof)| match &prof.expect("kept runs carry a profile").data {
+                            ProfileData::Lcr(records) => {
+                                (f, r.witness.clone(), lcr_events(layout, records))
+                            }
+                            ProfileData::Lbr(_) => panic!("{id}: LCR session kept an LBR profile"),
+                        },
+                    )
+                    .collect();
+                naive_history(&stream, true)
+            }
+        };
+        let report = p.convergence().expect("monitored session reports");
+        let evidence = &report.evidence;
+        assert_eq!(
+            history.len(),
+            20,
+            "{id}: the full 10 + 10 quota is ingested"
+        );
+        assert_eq!(evidence.history, history, "{id}: per-witness poll history");
+        assert_eq!(
+            evidence.trajectories, trajectories,
+            "{id}: per-predictor score trajectories"
+        );
+
+        // The final evidence is the last poll, and the verdict follows
+        // the policy's stability conditions on it.
+        let last = history.last().expect("non-empty history");
+        assert_eq!(evidence.top, top, "{id}: final top-k");
+        assert_eq!(
+            evidence.top1.as_deref(),
+            top.first().map(|t| t.predictor.as_str()),
+            "{id}: final top-1"
+        );
+        assert_eq!(
+            (evidence.churn, evidence.top1_streak),
+            (last.churn, last.top1_streak),
+            "{id}: final churn and streak"
+        );
+        assert_eq!(
+            (evidence.witnesses, evidence.failures, evidence.successes),
+            (20, 10, 10),
+            "{id}: class counts"
+        );
+        let stable = last.top1_streak >= policy.stable_for
+            && evidence.failures >= policy.min_failures
+            && evidence.successes >= policy.min_successes;
+        assert_eq!(evidence.stable, stable, "{id}: stability at the end");
+        assert_eq!(report.verdict, verdict, "{id}: verdict");
+    }
+}
+
 /// A reference hardware stack that forwards only the per-event
 /// [`Hardware`](stm::machine::events::Hardware) methods, so the
 /// trait-default `on_batch` replays every batch one event at a time —
