@@ -1,6 +1,9 @@
-//! Fleet-daemon benchmark: sustained sharded ingest throughput, per-
-//! shard time-to-converged, and exact shed accounting under forced
-//! overload. Writes `results/BENCH_fleet.json`.
+//! The fleet harness: drives a [`FleetDaemon`] the way a host process
+//! embeds it and gates sustained sharded ingest throughput, per-shard
+//! time-to-converged, the live causal chains, and exact shed accounting
+//! under forced overload. Writes `results/BENCH_fleet.json`; every
+//! check below is a hard assertion, so a broken fleet exits non-zero
+//! before the gate diffs the file.
 //!
 //! Two phases over the same snapshot pools (sort → LBRA, apache4 →
 //! LCRA Conf2; both batch-collected once, then replayed by simulated
@@ -8,7 +11,11 @@
 //!
 //! * **Sustained** — ≥1000 seeded endpoints push snapshots at four
 //!   shards (`sort-0/1`, `apache4-0/1`) through queues deep enough to
-//!   never shed. The wall-clock headline (`endpoints_per_sec`) is
+//!   never shed, so the run is deterministic. After the drain, while
+//!   the daemon still runs, every shard must have logged a
+//!   `fleet`/`diagnosis.chain` event and carry a causal chain with
+//!   links in the live `"fleet"` status document (what `/diagnosis`
+//!   serves). The wall-clock headline (`endpoints_per_sec`) is
 //!   machine-dependent and stays informational; the top-level
 //!   `endpoints_per_sec_floor` (lower-is-worse under `bench_diff`'s
 //!   `_floor` convention) is gated against a deliberately conservative
@@ -20,8 +27,10 @@
 //! * **Overload** — every shard is paused (its worker held off) and
 //!   fed `capacity + overflow` snapshots, so exactly `overflow` must
 //!   shed — half the shards under drop-oldest, half under reject-new —
-//!   with one `fleet`/`shed` event per shed snapshot. The exact counts
-//!   gate; a shed going missing (or an extra one appearing) is a
+//!   with one `fleet`/`shed` event per shed snapshot. The
+//!   `fleet.shed_total` counter must equal the summed per-shard sheds
+//!   and each `fleet.shed{shard=…}` series its shard's count. The exact
+//!   counts gate; a shed going missing (or an extra one appearing) is a
 //!   backpressure accounting bug.
 
 use std::time::Instant;
@@ -154,6 +163,30 @@ fn main() {
     }
     fleet.drain();
     let elapsed = started.elapsed();
+    // The live path, checked while the daemon still runs: each shard
+    // announced its chain as it formed, and the status document that
+    // `/diagnosis` serves carries it.
+    let events = stm_telemetry::log::take_events();
+    let live = stm_telemetry::status::get("fleet").expect("fleet status registered at start");
+    let live_chains = SHARDS.map(|name| {
+        let chain_events = events
+            .iter()
+            .filter(|e| e.component == "fleet" && e.event == "diagnosis.chain")
+            .filter(|e| e.fields.iter().any(|(k, v)| *k == "shard" && v == name))
+            .count();
+        assert!(chain_events > 0, "{name}: no diagnosis.chain event");
+        let entry = live
+            .get("shards")
+            .and_then(|m| m.get(name))
+            .unwrap_or_else(|| panic!("{name}: missing from the fleet status document"));
+        let links = entry
+            .get("chain")
+            .and_then(|c| c.get("links"))
+            .and_then(Json::as_array)
+            .map_or(0, <[Json]>::len);
+        assert!(links > 0, "{name}: live status entry has no causal chain");
+        (chain_events, links)
+    });
     let reports = fleet.finish();
     let eps = ENDPOINTS as f64 / elapsed.as_secs_f64().max(1e-9);
     println!(
@@ -161,15 +194,15 @@ fn main() {
         elapsed.as_secs_f64() * 1e3
     );
     println!(
-        "  {:<12} {:>10} {:>12} {:>10} {:>10}",
-        "shard", "verdict", "to-verdict", "ingested", "after-stop"
+        "  {:<12} {:>10} {:>12} {:>10} {:>10} {:>8} {:>6}",
+        "shard", "verdict", "to-verdict", "ingested", "after-stop", "chains", "links"
     );
-    for name in SHARDS {
+    for (name, (chain_events, links)) in SHARDS.into_iter().zip(live_chains) {
         let r = &reports[name];
         let witnesses = r.report.as_ref().map(|c| c.evidence.witnesses).unwrap_or(0);
         println!(
-            "  {:<12} {:>10} {:>12} {:>10} {:>10}",
-            name, r.verdict, witnesses, r.ingested, r.after_stop
+            "  {:<12} {:>10} {:>12} {:>10} {:>10} {:>8} {:>6}",
+            name, r.verdict, witnesses, r.ingested, r.after_stop, chain_events, links
         );
         metrics.checkpoint(
             name,
@@ -277,7 +310,23 @@ fn main() {
             ],
         );
     }
+    // The sustained phase shed nothing, so the process-wide counters
+    // hold exactly this phase's sheds.
     let total_shed: u64 = reports.values().map(|r| r.shed).sum();
+    let counters = stm_telemetry::metrics_snapshot();
+    assert_eq!(
+        counters.counter("fleet.shed_total"),
+        Some(total_shed),
+        "fleet.shed_total counter vs summed shard reports"
+    );
+    for name in SHARDS {
+        let series = stm_telemetry::series_name("fleet.shed", "shard", name);
+        assert_eq!(
+            counters.counter(&series),
+            Some(reports[name].shed),
+            "{series} vs the shard report"
+        );
+    }
     metrics.checkpoint(
         "overload-events",
         vec![(

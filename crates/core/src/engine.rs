@@ -1033,15 +1033,18 @@ where
     }
 
     let depth = stm_telemetry::gauge!("engine.queue_depth");
-    // Pool-size gauge: one call site for both `set`s (snapshots sum
-    // same-name gauges across call sites, so a second site could not
-    // zero this one).
+    // Pool-size and window gauges: one call site each for both `set`s
+    // (snapshots sum same-name gauges across call sites, so a second site
+    // could not zero them).
     let workers = stm_telemetry::gauge!("engine.workers");
-    workers.set(threads as i64);
+    let dispatch_window = stm_telemetry::gauge!("engine.dispatch_window");
     // The speculation window bounds the work discarded when the quota or
     // the convergence policy stops the session: one chunk per worker, so
-    // a full window keeps every worker holding one chunk.
+    // a full window keeps every worker holding one chunk. `/health` reads
+    // it to tell a full window from a backed-up queue.
     let window = threads as u64 * CHUNK;
+    workers.set(threads as i64);
+    dispatch_window.set(window as i64);
     let outcome = std::thread::scope(|s| -> Result<(), SessionError> {
         let (job_tx, job_rx) = mpsc::channel::<Chunk>();
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -1219,6 +1222,7 @@ where
         }
     });
     workers.set(0);
+    dispatch_window.set(0);
     outcome
 }
 

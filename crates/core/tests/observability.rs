@@ -198,5 +198,6 @@ fn worker_gauges_return_to_idle_after_a_session() {
     assert_eq!(m.gauge("engine.workers"), Some(0), "pool gone");
     assert_eq!(m.gauge("engine.workers_busy"), Some(0), "nobody working");
     assert_eq!(m.gauge("engine.queue_depth"), Some(0), "queue drained");
+    assert_eq!(m.gauge("engine.dispatch_window"), Some(0), "no window open");
     unlock();
 }

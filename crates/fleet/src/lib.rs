@@ -201,8 +201,8 @@ pub struct ShardReport {
 }
 
 impl ShardReport {
-    /// The report as a JSON object (the per-shard entry of
-    /// `FLEET_smoke.json`).
+    /// The report as a JSON object (the per-shard entry of the terminal
+    /// `"fleet"` status document that [`FleetDaemon::finish`] publishes).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("verdict", Json::from(self.verdict.as_str())),

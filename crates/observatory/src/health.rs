@@ -49,8 +49,10 @@ pub struct HealthThresholds {
     /// `failure_streak >= failing_streak` → [`HealthState::Failing`]
     /// (the runbook's "3 consecutive failed cycles" rule).
     pub failing_streak: i64,
-    /// `queue_depth > max_queue_depth` → at least degraded: workers are
-    /// not keeping up with dispatch.
+    /// `queue_depth > max(max_queue_depth, dispatch_window)` → at least
+    /// degraded: workers are not keeping up with dispatch. A full
+    /// dispatch window is normal operation, so the limit never drops
+    /// below it.
     pub max_queue_depth: i64,
     /// With work queued, `runs_per_sec < min_runs_per_sec` → at least
     /// degraded: throughput collapsed while jobs wait.
@@ -89,6 +91,9 @@ pub struct Observation {
     pub workers_busy: i64,
     /// `engine.workers` gauge: live pool size (0 outside a session).
     pub workers: i64,
+    /// `engine.dispatch_window` gauge: the most runs the engine keeps in
+    /// flight (0 outside a pooled session).
+    pub dispatch_window: i64,
 }
 
 impl Observation {
@@ -101,6 +106,7 @@ impl Observation {
             runs_per_sec,
             workers_busy: m.gauge("engine.workers_busy").unwrap_or(0),
             workers: m.gauge("engine.workers").unwrap_or(0),
+            dispatch_window: m.gauge("engine.dispatch_window").unwrap_or(0),
         }
     }
 
@@ -114,6 +120,7 @@ impl Observation {
             ),
             ("workers_busy", Json::Num(self.workers_busy as f64)),
             ("workers", Json::Num(self.workers as f64)),
+            ("dispatch_window", Json::Num(self.dispatch_window as f64)),
         ])
     }
 }
@@ -264,11 +271,12 @@ impl HealthEngine {
                 obs.failure_streak, t.degraded_streak
             ));
         }
-        if obs.queue_depth > t.max_queue_depth {
+        let queue_limit = t.max_queue_depth.max(obs.dispatch_window);
+        if obs.queue_depth > queue_limit {
             state = state.max(HealthState::Degraded);
             reasons.push(format!(
-                "queue_depth {} above limit {}",
-                obs.queue_depth, t.max_queue_depth
+                "queue_depth {} above limit {queue_limit}",
+                obs.queue_depth
             ));
         }
         if let Some(rps) = obs.runs_per_sec {
@@ -336,6 +344,7 @@ mod tests {
             runs_per_sec,
             workers_busy: 0,
             workers: 0,
+            dispatch_window: 0,
         }
     }
 
@@ -413,6 +422,21 @@ mod tests {
     }
 
     #[test]
+    fn queue_limit_scales_with_the_dispatch_window() {
+        let mut e = HealthEngine::default();
+        let windowed = |queue_depth| Observation {
+            dispatch_window: 128,
+            ..obs(queue_depth, 0, Some(50.0))
+        };
+        // A full 8-thread window (8 × 16 runs) is normal operation.
+        assert_eq!(e.classify(&windowed(100)).0, HealthState::Healthy);
+        assert_eq!(e.classify(&windowed(128)).0, HealthState::Healthy);
+        let r = e.observe(windowed(129));
+        assert_eq!(r.state, HealthState::Degraded);
+        assert!(r.reasons[0].contains("limit 128"), "{:?}", r.reasons);
+    }
+
+    #[test]
     fn collapsed_throughput_with_queued_work_degrades() {
         let mut e = HealthEngine::default();
         // Below the floor but the queue is empty: idle, not degraded.
@@ -472,6 +496,7 @@ mod tests {
                 ("engine.queue_depth".to_string(), 9),
                 ("engine.workers".to_string(), 8),
                 ("engine.workers_busy".to_string(), 5),
+                ("engine.dispatch_window".to_string(), 128),
             ],
         };
         let o = Observation::from_snapshot(&m, Some(10.0));
@@ -479,6 +504,7 @@ mod tests {
         assert_eq!(o.failure_streak, 2);
         assert_eq!(o.workers, 8);
         assert_eq!(o.workers_busy, 5);
+        assert_eq!(o.dispatch_window, 128);
         assert_eq!(o.runs_per_sec, Some(10.0));
     }
 }

@@ -25,6 +25,7 @@
 //!     runs_per_sec: Some(250.0),
 //!     workers_busy: 0,
 //!     workers: 4,
+//!     dispatch_window: 64,
 //! });
 //! assert_eq!(report.state, HealthState::Healthy);
 //! ```
